@@ -2,22 +2,20 @@
 
 A 256-island run with fine-grained migration (every generation — the
 worst case for per-epoch Python overhead, and the cadence the ROADMAP's
-"thousands of islands" item targets) is timed three ways:
+"thousands of islands" item targets) is timed two ways:
 
 * the legacy epoch loop (``IslandGA.run_epoch_loop``, the pre-archipelago
   ``processes=1`` default): one fresh ``BatchBehavioralGA`` — parameter
   list, stream bank, slot tables — constructed per epoch, plus a
   per-island Python migration loop;
-* the vectorized archipelago (``VectorIslandGA``, exact mode): one
-  resumable slab carried across all epochs, migration as an array
-  scatter;
-* the same slab in turbo mode (the vectorised generation kernel).
+* the vectorized archipelago (``VectorIslandGA``): one resumable slab
+  carried across all epochs, migration as an array scatter.
 
-The exact-mode results are asserted bit-identical to the legacy loop
-(the conformance suite property, re-checked on the benchmarked shape and
-on a 1000-island run), and the exact-mode speedup is asserted >= 5x —
-the archipelago refactor's headline number.  Both ratios land in
-``extra_info`` for the perf trajectory.
+The results are asserted bit-identical to the legacy loop (the
+conformance suite property, re-checked on the benchmarked shape and on a
+1000-island run), and the speedup is asserted >= 5x — the archipelago
+refactor's headline number.  The ratio lands in ``extra_info`` for the
+perf trajectory.
 """
 
 import time
@@ -47,10 +45,8 @@ def legacy_run():
     return IslandGA(PARAMS, by_name(FITNESS), **KWARGS).run_epoch_loop()
 
 
-def vector_run(mode: str):
-    return VectorIslandGA(
-        PARAMS, by_name(FITNESS), engine_mode=mode, **KWARGS
-    ).run()
+def vector_run():
+    return VectorIslandGA(PARAMS, by_name(FITNESS), **KWARGS).run()
 
 
 def _best_of(fn, rounds: int = 3):
@@ -65,19 +61,15 @@ def _best_of(fn, rounds: int = 3):
 
 @pytest.mark.benchmark(group="archipelago")
 def test_vector_archipelago_speedup_over_epoch_loop(benchmark):
-    # warm caches both paths share: fitness table, CA orbit, slot-outcome
-    # tables, the turbo kernel's binomial CDFs
+    # warm caches both paths share: fitness table, CA orbit, slot and
+    # jump tables
     warm = PARAMS.with_(n_generations=2)
     IslandGA(warm, by_name(FITNESS), **KWARGS).run_epoch_loop()
-    for mode in ("exact", "turbo"):
-        VectorIslandGA(
-            warm, by_name(FITNESS), engine_mode=mode, **KWARGS
-        ).run()
+    VectorIslandGA(warm, by_name(FITNESS), **KWARGS).run()
 
     t_legacy, legacy = _best_of(legacy_run)
-    t_exact, exact = _best_of(lambda: vector_run("exact"))
-    t_turbo, turbo = _best_of(lambda: vector_run("turbo"))
-    benchmark.pedantic(lambda: vector_run("exact"), rounds=1, iterations=1)
+    t_exact, exact = _best_of(vector_run)
+    benchmark.pedantic(vector_run, rounds=1, iterations=1)
 
     # the refactor moves work, never numbers: bit-identical on the
     # benchmarked shape...
@@ -89,34 +81,26 @@ def test_vector_archipelago_speedup_over_epoch_loop(benchmark):
         VectorIslandGA(big, by_name(FITNESS), **big_kwargs).run()
         == IslandGA(big, by_name(FITNESS), **big_kwargs).run_epoch_loop()
     )
-    # turbo shares the accounting even where the draws differ
-    assert turbo.evaluations == exact.evaluations
-    assert turbo.migrations == exact.migrations
 
     exact_speedup = t_legacy / t_exact
-    turbo_speedup = t_legacy / t_turbo
     island_gens = N_ISLANDS * GENS
     rows = [
-        {"path": "legacy epoch loop (exact)", "time_s": round(t_legacy, 3),
+        {"path": "legacy epoch loop", "time_s": round(t_legacy, 3),
          "island-gens/sec": round(island_gens / t_legacy, 0)},
-        {"path": "VectorIslandGA (exact)", "time_s": round(t_exact, 3),
+        {"path": "VectorIslandGA", "time_s": round(t_exact, 3),
          "island-gens/sec": round(island_gens / t_exact, 0)},
-        {"path": "VectorIslandGA (turbo)", "time_s": round(t_turbo, 3),
-         "island-gens/sec": round(island_gens / t_turbo, 0)},
     ]
     print_table(
         f"{N_ISLANDS} islands, pop {POP} x {GENS} generations, "
         f"migration every generation (ring)",
         rows,
     )
-    print(f"vector exact speedup: {exact_speedup:.1f}x; "
-          f"turbo: {turbo_speedup:.1f}x; "
+    print(f"vector speedup: {exact_speedup:.1f}x; "
           f"best fitness {exact.best_fitness} at {exact.best_individual}, "
           f"{exact.migrations} migrations")
 
     benchmark.extra_info["islands"] = N_ISLANDS
     benchmark.extra_info["exact_speedup"] = round(exact_speedup, 2)
-    benchmark.extra_info["turbo_speedup"] = round(turbo_speedup, 2)
     benchmark.extra_info["island_gens_per_s_exact"] = round(
         island_gens / t_exact, 0
     )

@@ -69,7 +69,7 @@ def test_disabled_tracing_overhead_within_2pct(benchmark):
     none_times, null_times = [], []
     baseline = None
     for round_no in range(ROUNDS):
-        # alternate A/B order so cache/turbo drift cannot bias one variant
+        # alternate A/B order so cache/clock drift cannot bias one variant
         variants = [(None, none_times), (NULL_TRACER, null_times)]
         if round_no % 2:
             variants.reverse()

@@ -229,84 +229,3 @@ def test_faulted_run_recovery_overhead(benchmark):
     benchmark.extra_info["faults"] = snap["faults"]
 
     assert overhead <= 1.5
-
-
-# -- turbo engine mode -------------------------------------------------
-# One slab of LARGE-preset jobs (the paper's 256-member population), run
-# through the service's slab execution path in both engine modes.  Exact
-# walks offspring slots serially to stay bit-identical to the RT core;
-# turbo vectorises the whole generation (see docs/architecture.md), so the
-# gap widens with population size — pop 256 is where a throughput-hungry
-# caller would actually reach for it.
-TURBO_N_JOBS = 4
-TURBO_POP = 256
-TURBO_GENS = 96
-
-
-def _turbo_slab_spec(mode: str, gens: int = TURBO_GENS) -> dict:
-    return {
-        "chunk_gens": gens,
-        "mode": mode,
-        "protection": None,
-        "entries": [
-            {
-                "job_id": i,
-                "params": params_to_dict(
-                    GAParameters(
-                        n_generations=gens, population_size=TURBO_POP,
-                        crossover_threshold=10 + i % 3, mutation_threshold=1,
-                        rng_seed=1000 + 257 * i,
-                    )
-                ),
-                "fitness": FITNESS_NAMES[i % len(FITNESS_NAMES)],
-                "population": None,
-                "rng_state": None,
-                "record_stats": True,
-            }
-            for i in range(TURBO_N_JOBS)
-        ],
-    }
-
-
-@pytest.mark.benchmark(group="service")
-def test_turbo_slab_speedup_over_exact(benchmark):
-    # warm both modes: fitness tables, orbit caches, the exact engine's
-    # slot-outcome tables and the turbo kernel's binomial CDFs
-    for mode in ("exact", "turbo"):
-        run_slab_chunk(_turbo_slab_spec(mode, gens=4))
-
-    best = {}
-    outputs = {}
-    for mode in ("exact", "turbo"):
-        for _ in range(3):  # best of three: this is a ratio of two
-            t0 = time.perf_counter()  # measurements, so damp noise in both
-            out = run_slab_chunk(_turbo_slab_spec(mode))
-            dt = time.perf_counter() - t0
-            best[mode] = min(best.get(mode, dt), dt)
-        outputs[mode] = out
-    benchmark.pedantic(
-        lambda: run_slab_chunk(_turbo_slab_spec("turbo")), rounds=1, iterations=1
-    )
-
-    # turbo is deterministic per (params, seed): repeat runs are identical
-    assert outputs["turbo"] == run_slab_chunk(_turbo_slab_spec("turbo"))
-
-    ratio = best["exact"] / best["turbo"]
-    rows = [
-        {"engine": mode, "time_s": round(best[mode], 3),
-         "gens/sec": round(TURBO_N_JOBS * TURBO_GENS / best[mode], 0),
-         "best_fitness": [e["best_fitness"] for e in outputs[mode]["entries"]]}
-        for mode in ("exact", "turbo")
-    ]
-    print_table(
-        f"{TURBO_N_JOBS}-job slab, pop {TURBO_POP} x {TURBO_GENS} generations",
-        rows,
-    )
-    print(f"turbo speedup over exact batched path: {ratio:.1f}x")
-
-    benchmark.extra_info["turbo_speedup"] = round(ratio, 2)
-    benchmark.extra_info["jobs"] = TURBO_N_JOBS
-    benchmark.extra_info["population"] = TURBO_POP
-
-    # the whole point of the mode: at least 5x over the exact batched path
-    assert ratio >= 5.0

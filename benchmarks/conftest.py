@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 import warnings
 
@@ -39,6 +40,23 @@ def print_table(title: str, rows: list[dict], keys: list[str] | None = None) -> 
     print("-+-".join("-" * widths[k] for k in keys))
     for r in rows:
         print(" | ".join(str(r.get(k, "")).ljust(widths[k]) for k in keys))
+
+
+def _git_sha(root: str) -> str | None:
+    """The commit the benches ran on: CI's ``GITHUB_SHA``, else the
+    checkout's ``HEAD`` (None outside a git checkout)."""
+    if os.environ.get("GITHUB_SHA"):
+        return os.environ["GITHUB_SHA"]
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if out.returncode != 0:
+        return None
+    return out.stdout.strip() or None
 
 
 def _maybe(getter):
@@ -101,7 +119,7 @@ def pytest_sessionfinish(session, exitstatus):
         "generated_unix": payload["generated_unix"],
         "pytest_exitstatus": payload["pytest_exitstatus"],
         "benchmarks_disabled": payload["benchmarks_disabled"],
-        "git_sha": os.environ.get("GITHUB_SHA") or None,
+        "git_sha": _git_sha(str(session.config.rootdir)),
         "benchmarks": {
             str(r["fullname"]): {
                 "group": r["group"],

@@ -141,7 +141,6 @@ def _run_cached(args) -> None:
     request = GARequest(
         params=_run_params(args),
         fitness_name=args.fitness,
-        engine_mode=args.engine_mode,
         n_islands=args.islands,
         migration_interval=args.migration_interval,
         topology=args.topology,
@@ -179,12 +178,6 @@ def cmd_run(args) -> None:
     tracer = None
     if getattr(args, "trace_out", ""):
         tracer = Tracer(args.trace_out, keep_records=False)
-    engine_mode = getattr(args, "engine_mode", "exact")
-    if args.cycle_accurate and engine_mode != "exact":
-        raise SystemExit(
-            "--engine-mode turbo is a behavioural-engine fast path; "
-            "it cannot be combined with --cycle-accurate"
-        )
     islands = getattr(args, "islands", 1)
     if islands > 1 and args.cycle_accurate:
         raise SystemExit(
@@ -201,7 +194,6 @@ def cmd_run(args) -> None:
                 migration_interval=args.migration_interval,
                 topology=args.topology,
                 tracer=tracer,
-                engine_mode=engine_mode,
             ).run()
             print(
                 f"{fn.name}: best {result.best_fitness} at "
@@ -215,9 +207,7 @@ def cmd_run(args) -> None:
             result = GASystem(params, fn, tracer=tracer).run()
             extra = f", {result.cycles} GA cycles"
         else:
-            result = BehavioralGA(
-                params, fn, tracer=tracer, mode=engine_mode
-            ).run()
+            result = BehavioralGA(params, fn, tracer=tracer).run()
             extra = ""
     finally:
         if tracer is not None:
@@ -361,6 +351,8 @@ def cmd_campaign(args) -> None:
 
 
 def cmd_serve(args) -> None:
+    import os
+    import signal
     import threading
 
     from repro.service import BatchPolicy, GAService, serve
@@ -415,6 +407,17 @@ def cmd_serve(args) -> None:
             file=sys.stderr,
         )
 
+    serving_pid = os.getpid()
+
+    def drain_on_sigterm(signum, _frame) -> None:
+        # SIGTERM takes SIGINT's path: serve() returns and the finally
+        # below drains the service and joins the pool workers; forked
+        # workers inherit this handler and must still die on SIGTERM
+        if os.getpid() != serving_pid:
+            os._exit(128 + signum)
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, drain_on_sigterm)
     try:
         serve(
             service,
@@ -447,7 +450,6 @@ def cmd_submit(args) -> None:
         deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
         protection=args.protection or None,
         upset_rate=args.upset_rate,
-        engine_mode=getattr(args, "engine_mode", "exact"),
         n_islands=getattr(args, "islands", 1),
         migration_interval=getattr(args, "migration_interval", 8),
         topology=getattr(args, "topology", "ring"),
@@ -511,7 +513,6 @@ def cmd_store(args) -> None:
             rows.append({
                 "key": entry.key[:16],
                 "fitness": entry.request.fitness_name,
-                "mode": entry.request.engine_mode,
                 "pop": entry.request.params.population_size,
                 "gens": entry.request.params.n_generations,
                 "seed": hex(entry.request.params.rng_seed),
@@ -652,12 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--migration-interval", type=int, default=8)
             p.add_argument("--topology", default="ring",
                            help="ring | torus | random[:k]")
-            p.add_argument("--engine-mode", choices=["exact", "turbo"],
-                           default="exact",
-                           help="behavioural engine mode: exact is "
-                           "bit-identical to the RT core, turbo is the "
-                           "vectorised fast path (same operator "
-                           "distributions, different RNG word allocation)")
             p.add_argument("--trace-out", default="",
                            help="also write a JSON-lines trace to this path")
             p.add_argument("--store-dir", default="",
@@ -773,10 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--protection", default="",
                            help="resilience preset for hardened execution")
             p.add_argument("--upset-rate", type=float, default=0.0)
-            p.add_argument("--engine-mode", choices=["exact", "turbo"],
-                           default="exact",
-                           help="request exact (bit-identical) or turbo "
-                           "(vectorised) slab execution")
             p.add_argument("--islands", type=int, default=1,
                            help="archipelago size; >1 submits an island "
                                 "job (one vectorized slab, routed solo)")

@@ -26,9 +26,17 @@ or its fitness.  That lets the engine precompute, for every one of the
 * the mutation XOR bits for both offspring (0 when mutation fails),
 * the successor orbit position and the number of words consumed.
 
-Evolving one slot across all replicas is then a single row gather from that
-table plus a handful of elementwise ops, and proportionate selection is a
-row-wise ``cumsum`` with one flattened ``searchsorted`` per slot.
+Because each slot starts where the previous slot's stream left off, the
+start position of slot ``k`` is ``NEXT`` applied ``k`` times to the
+generation's start position.  Per threshold class the engine keeps
+pointer-jumping tables ``J[j] = NEXT^(2^j)`` and fills every
+``(replica, slot)`` start position by doubling — ``ceil(log2(slots))``
+gathers, 7 for a population of 256 — then gathers every slot's table row
+at once.  Selection reads only the previous generation's fitness, so all
+``2 x slots`` parent picks are one flattened ``searchsorted`` and the
+offspring land in the new population by strided assignment: one array
+pass per operator per generation, with no per-slot Python iteration, and
+still the serial engine's words in the serial engine's order.
 
 Replicas in one batch must share ``n_generations`` and ``population_size``
 (the array shape); seeds, thresholds, and even the fitness function may
@@ -39,6 +47,8 @@ group, and returns results in input order.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from time import perf_counter
 from typing import Sequence
 
@@ -46,7 +56,6 @@ import numpy as np
 
 from repro.core.params import GAParameters
 from repro.core.stats import GenerationStats
-from repro.core.turbo import TurboKernel
 from repro.core.validate import validate_initial_population
 from repro.fitness.base import FitnessFunction
 from repro.obs.metrics import record_engine_run
@@ -69,8 +78,14 @@ _NEXT, _CONSUMED = 5, 6  # successor position / words consumed (full pair)
 _NEXT1, _CONSUMED1 = 7, 8  # same for a single-offspring tail slot
 _COLS = 9
 
-_SLOT_TABLE_CACHE: dict[tuple, np.ndarray] = {}
-_SLOT_STACK_CACHE: dict[tuple, np.ndarray] = {}
+#: Byte bound of the per-class table cache: 32 threshold classes at full
+#: depth (a population-256 slab needs 7 jump tables), i.e. one class per
+#: job of a ``max_batch=32`` serving slab.  Live engines keep their own
+#: references, so eviction never invalidates a running batch.
+TABLE_CACHE_BYTES = 32 * 65535 * 4 * (_COLS + 7)
+
+_TABLE_CACHE: OrderedDict[tuple, "ClassTables"] = OrderedDict()
+_TABLE_CACHE_LOCK = threading.Lock()
 
 
 def _slot_table(
@@ -81,54 +96,127 @@ def _slot_table(
     spacing: int = 1,
 ) -> np.ndarray:
     """Per-orbit-position outcome of one offspring slot, as a ``(size, 9)``
-    int64 table.
+    int32 table.
 
     A slot starting with the stream at orbit position ``p`` consumes, in
     the serial engine's order: two selection words, the crossover-decision
     word, the crossover-point word (only when the decision fires), then per
     offspring a mutation-decision word and a mutation-point word (only when
     that decision fires).  All of it is a pure function of ``p`` and the two
-    thresholds, so it is precomputed here for every position at once and
-    cached per parameter combination.
+    thresholds, so it is precomputed here for every position at once.
+    Every column fits int32: positions are below 65,535, words and masks
+    are 16-bit, counts are below 8.
     """
-    key = (crossover_threshold, mutation_threshold, rule_vector, width, spacing)
-    cached = _SLOT_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     orbit, _position = orbit_tables(rule_vector, width)
-    orbit = orbit.astype(np.int64)
     size = orbit.shape[0]
-    dec = orbit & 0xF  # the 4-bit decision field of each word
+    s = spacing % size
     pos = np.arange(size, dtype=np.int64)
-    s = spacing
+    # a slot reads at most 8 words, so index p + k * s never passes
+    # size + 8 * s: extend the orbit (and its positions) cyclically
+    # instead of reducing every read modulo size
+    word = np.resize(orbit.astype(np.int64), size + 8 * s)
+    wrap = np.resize(pos, size + 8 * s)
+    dec = word & 0xF  # the 4-bit decision field of each word
 
-    table = np.empty((size, _COLS), dtype=np.int64)
-    table[:, _W1] = orbit
-    table[:, _W2] = orbit[(pos + s) % size]
+    table = np.empty((size, _COLS), dtype=np.int32)
+    table[:, _W1] = word[:size]
+    table[:, _W2] = word[pos + s]
 
-    do_x = dec[(pos + 2 * s) % size] < crossover_threshold
-    cut = dec[(pos + 3 * s) % size]  # read speculatively, masked below
+    do_x = dec[pos + 2 * s] < crossover_threshold
+    cut = dec[pos + 3 * s]  # read speculatively, masked below
     inv = (0xFFFF << cut) & 0xFFFF  # ~((1 << cut) - 1) in 16 bits
     table[:, _XMASK] = np.where(do_x, inv, 0)
 
-    m1 = (pos + (3 + do_x) * s) % size
+    m1 = pos + (3 + do_x) * s
     do_m1 = dec[m1] < mutation_threshold
-    point1 = dec[(m1 + s) % size]
+    point1 = dec[m1 + s]
     table[:, _M1BIT] = np.where(do_m1, np.int64(1) << point1, 0)
-    table[:, _NEXT1] = (m1 + (1 + do_m1) * s) % size
+    table[:, _NEXT1] = wrap[m1 + (1 + do_m1) * s]
     table[:, _CONSUMED1] = 4 + do_x + do_m1
 
-    m2 = (m1 + (1 + do_m1) * s) % size
+    m2 = m1 + (1 + do_m1) * s
     do_m2 = dec[m2] < mutation_threshold
-    point2 = dec[(m2 + s) % size]
+    point2 = dec[m2 + s]
     table[:, _M2BIT] = np.where(do_m2, np.int64(1) << point2, 0)
-    table[:, _NEXT] = (m2 + (1 + do_m2) * s) % size
+    table[:, _NEXT] = wrap[m2 + (1 + do_m2) * s]
     table[:, _CONSUMED] = 5 + do_x + do_m1 + do_m2
-
-    if len(_SLOT_TABLE_CACHE) >= 32:  # bound the cache for long sweeps
-        _SLOT_TABLE_CACHE.clear()
-    _SLOT_TABLE_CACHE[key] = table
     return table
+
+
+class ClassTables:
+    """The slot table and pointer-jumping tables of one threshold class.
+
+    ``jumps[j]`` maps an orbit position to the start of the slot ``2**j``
+    slots later (``jumps[0]`` is the ``NEXT`` column); a batch with
+    ``slots`` offspring slots per generation needs
+    ``(slots - 1).bit_length()`` of them.  Immutable once built: a deeper
+    request builds a new instance that shares the shallower arrays.
+    """
+
+    __slots__ = ("slots", "jumps")
+
+    def __init__(self, slots: np.ndarray, jumps: tuple[np.ndarray, ...]):
+        self.slots = slots
+        self.jumps = jumps
+
+    @property
+    def nbytes(self) -> int:
+        return self.slots.nbytes + sum(j.nbytes for j in self.jumps)
+
+    def deepened(self, levels: int) -> "ClassTables":
+        jumps = list(self.jumps) or [np.ascontiguousarray(self.slots[:, _NEXT])]
+        while len(jumps) < levels:
+            jumps.append(jumps[-1][jumps[-1]])
+        return ClassTables(self.slots, tuple(jumps))
+
+
+def class_tables(
+    crossover_threshold: int,
+    mutation_threshold: int,
+    levels: int,
+    rule_vector: int = DEFAULT_RULE_VECTOR,
+    width: int = 16,
+    spacing: int = 1,
+) -> ClassTables:
+    """The cached tables of one threshold class, at least ``levels`` jump
+    tables deep.
+
+    One entry per class, least recently used evicted first once the cache
+    holds more than :data:`TABLE_CACHE_BYTES` — so a process's table
+    memory is bounded by the request mix it is serving now, not by every
+    class set it has ever seen.
+    """
+    key = (crossover_threshold, mutation_threshold, rule_vector, width, spacing)
+    with _TABLE_CACHE_LOCK:
+        tables = _TABLE_CACHE.get(key)
+    # build outside the lock: concurrent engines (thread-mode workers) do
+    # not queue behind one another's table builds
+    if tables is None:
+        tables = ClassTables(
+            _slot_table(
+                crossover_threshold, mutation_threshold, rule_vector,
+                width, spacing,
+            ),
+            (),
+        )
+    if len(tables.jumps) < levels:
+        tables = tables.deepened(levels)
+    with _TABLE_CACHE_LOCK:
+        _TABLE_CACHE[key] = tables
+        _TABLE_CACHE.move_to_end(key)
+        while len(_TABLE_CACHE) > 1 and _cached_bytes() > TABLE_CACHE_BYTES:
+            _TABLE_CACHE.popitem(last=False)
+    return tables
+
+
+def _cached_bytes() -> int:
+    return sum(t.nbytes for t in _TABLE_CACHE.values())
+
+
+def table_cache_bytes() -> int:
+    """Bytes currently held by the per-class table cache."""
+    with _TABLE_CACHE_LOCK:
+        return _cached_bytes()
 
 
 class BatchBehavioralGA:
@@ -163,22 +251,10 @@ class BatchBehavioralGA:
         generation boundary emits one ``ga.generation`` event whose
         ``best_fitness``/``fitness_sum`` attrs are per-replica lists, and
         one ``ga.phases`` event with the slab-wide wall time per phase.
-        The disabled path (the default) executes the exact uninstrumented
-        slot loop — one flag check per generation is the whole cost, and
-        results are bit-identical either way.
-    mode:
-        ``"exact"`` (default) walks offspring slots with the precomputed
-        slot-outcome table, bit-identical to N serial runs.  ``"turbo"``
-        runs the fully vectorised generation step of
-        :class:`~repro.core.turbo.TurboKernel`: one pre-drawn word block,
-        one flattened ``searchsorted`` for every selection, array-wide
-        crossover masks, and binomial-sampled mutation.  Turbo keeps the
-        operator distributions but not the exact word allocation (the
-        contract in ``docs/architecture.md``); each replica's draw count
-        stays a pure function of its own stream, so turbo results are
-        deterministic per ``(params, seed)`` regardless of slab
-        composition or chunking.  Turbo does not support a resilience
-        harness.
+        Tracing only adds timestamps between the generation's array
+        passes, so results are bit-identical either way.
+    record_history:
+        Keep per-generation :class:`GenerationStats` rows (default on).
     """
 
     def __init__(
@@ -189,17 +265,8 @@ class BatchBehavioralGA:
         rng_states: Sequence[int] | None = None,
         resilience=None,
         tracer=None,
-        mode: str = "exact",
         record_history: bool = True,
     ):
-        if mode not in ("exact", "turbo"):
-            raise ValueError(f"mode must be 'exact' or 'turbo': {mode!r}")
-        if mode == "turbo" and resilience is not None:
-            raise ValueError(
-                "turbo mode does not support a resilience harness; "
-                "hardened runs must use exact mode"
-            )
-        self.mode = mode
         self.tracer = tracer
         self.params_list = list(params_list)
         n = len(self.params_list)
@@ -234,17 +301,21 @@ class BatchBehavioralGA:
                 raise ValueError(
                     f"got {len(self.fitnesses)} fitness functions for {n} replicas"
                 )
-        if len({fn.name for fn in self.fitnesses}) == 1:
+        distinct = {fn.name: fn for fn in self.fitnesses}
+        if len(distinct) == 1:
             self._table = self.fitnesses[0].table().astype(np.int64)
-            self._tables_flat = None
         else:
             self._table = None
-            # one row per replica, flattened so a lookup is a single gather
+            # one table per distinct fitness, flattened so a lookup is a
+            # single gather at the replica's table offset
+            names = list(distinct)
             stacked = np.stack(
-                [fn.table().astype(np.int64) for fn in self.fitnesses]
+                [fn.table().astype(np.int64) for fn in distinct.values()]
             )
-            self._table_width = stacked.shape[1]
             self._tables_flat = stacked.ravel()
+            self._fit_base = stacked.shape[1] * np.array(
+                [names.index(fn.name) for fn in self.fitnesses], dtype=np.int64
+            )
 
         seeds = (
             list(rng_states)
@@ -253,51 +324,36 @@ class BatchBehavioralGA:
         )
         self.bank = CAStreamBank(seeds)
 
+        # a generation is n_slots offspring slots: n_pairs full pairs plus
+        # a single-offspring tail slot when pop - 1 is odd
+        self._n_pairs = (self.pop - 1) // 2
+        self._n_slots = self.pop // 2
         self._rows = np.arange(n, dtype=np.int64)
         self._row_offsets = (self._rows * _ROW_STRIDE)[:, None]
         # flat index of each replica's last member, for the hardware's
-        # "last member as fallback" clamp (each selection target appears
-        # twice: two parents per slot)
-        self._sel_cap = np.repeat(self._rows * self.pop, 2) + (self.pop - 1)
-
-        if mode == "turbo":
-            self._turbo = TurboKernel(
-                self.params_list, self._rows, self._row_offsets
+        # "last member as fallback" clamp, once per parent pick
+        self._sel_cap = np.tile(
+            np.repeat(self._rows * self.pop, 2), self._n_slots
+        ) + (self.pop - 1)
+        # slot and jump tables per distinct threshold class, with the
+        # replica rows each class serves
+        self._levels = levels = (self._n_slots - 1).bit_length()
+        pairs = [
+            (p.crossover_threshold, p.mutation_threshold)
+            for p in self.params_list
+        ]
+        classes = list(dict.fromkeys(pairs))
+        class_of = np.array([classes.index(pair) for pair in pairs])
+        self._classes = [
+            (
+                np.nonzero(class_of == c)[0],
+                class_tables(
+                    xt, mt, levels, self.bank.rule_vector, self.bank.width,
+                    self.bank.spacing,
+                ),
             )
-            self._slot_tables = None
-            self._class_idx = None
-        else:
-            # one slot-outcome table per distinct threshold pair, stacked so
-            # a replica's slot gather is TT[class, position]
-            pairs = [
-                (p.crossover_threshold, p.mutation_threshold)
-                for p in self.params_list
-            ]
-            classes = sorted(set(pairs))
-            stack_key = (
-                tuple(classes),
-                self.bank.rule_vector,
-                self.bank.width,
-                self.bank.spacing,
-            )
-            stacked = _SLOT_STACK_CACHE.get(stack_key)
-            if stacked is None:
-                stacked = np.stack(
-                    [
-                        _slot_table(
-                            xt, mt, self.bank.rule_vector, self.bank.width,
-                            self.bank.spacing,
-                        )
-                        for xt, mt in classes
-                    ]
-                )
-                if len(_SLOT_STACK_CACHE) >= 32:
-                    _SLOT_STACK_CACHE.clear()
-                _SLOT_STACK_CACHE[stack_key] = stacked
-            self._slot_tables = stacked
-            self._class_idx = np.array(
-                [classes.index(pair) for pair in pairs], dtype=np.int64
-            )
+            for c, (xt, mt) in enumerate(classes)
+        ]
 
         self.histories: list[list[GenerationStats]] = [[] for _ in range(n)]
         self.evaluations = np.zeros(n, dtype=np.int64)
@@ -308,10 +364,8 @@ class BatchBehavioralGA:
         if self._table is not None:
             return self._table[inds]
         if inds.ndim == 1:
-            return self._tables_flat[self._rows * self._table_width + inds]
-        return self._tables_flat[
-            (self._rows * self._table_width)[:, None] + inds
-        ]
+            return self._tables_flat[self._fit_base + inds]
+        return self._tables_flat[self._fit_base[:, None] + inds]
 
     def _record(
         self,
@@ -325,7 +379,7 @@ class BatchBehavioralGA:
         if not self.record_history and not tracing:
             return
         # tolist() batches the numpy-scalar -> int conversions; the loop
-        # below is on the per-generation path of both engine modes
+        # below is on the per-generation path
         bf, bi = best_fit.tolist(), best_ind.tolist()
         sm = sums.tolist()
         if self.record_history:
@@ -477,9 +531,7 @@ class BatchBehavioralGA:
         if self._table is not None:
             self._fits[rows, cols] = self._table[inds]
         else:
-            self._fits[rows, cols] = self._tables_flat[
-                rows * self._table_width + inds
-            ]
+            self._fits[rows, cols] = self._tables_flat[self._fit_base[rows] + inds]
 
     def reanchor_best(self) -> None:
         """Reset best tracking to the *current* populations — the
@@ -497,6 +549,37 @@ class BatchBehavioralGA:
         self._best_fit = self._fits[self._rows, best_idx]
         self._best_ind = self._inds[self._rows, best_idx]
 
+    def _slot_rows(self, cur: np.ndarray) -> np.ndarray:
+        """Every slot's table row for this generation, slot-major:
+        ``(slots, n, 9)``.
+
+        Slot ``k`` of a replica starts at ``NEXT^k(cur)``.  The start
+        positions fill by doubling — the first ``h`` slots, jumped ``h``
+        slots ahead, give the next ``h``, with a partial last step when
+        the slot count is not a power of two — and one gather per class
+        then reads every row.
+        """
+        if len(self._classes) == 1:
+            ((_rows, tables),) = self._classes
+            return np.take(tables.slots, self._starts(tables, cur), axis=0)
+        out = np.empty((self._n_slots, self.n_replicas, _COLS), dtype=np.int32)
+        for rows, tables in self._classes:
+            out[:, rows] = np.take(
+                tables.slots, self._starts(tables, cur[rows]), axis=0
+            )
+        return out
+
+    def _starts(self, tables: ClassTables, cur: np.ndarray) -> np.ndarray:
+        n_slots = self._n_slots
+        starts = np.empty((n_slots, cur.size), dtype=np.int32)
+        starts[0] = cur
+        h = 1
+        for jump in tables.jumps[: self._levels]:
+            m = min(h, n_slots - h)
+            np.take(jump, starts[:m], out=starts[h : h + m])
+            h += m
+        return starts
+
     def step(self, n_generations: int | None = None) -> int:
         """Advance up to ``n_generations`` generations (all remaining when
         ``None``); returns the number actually executed.
@@ -510,13 +593,8 @@ class BatchBehavioralGA:
             raise RuntimeError("call begin() before step()")
         if self._finalized:
             raise RuntimeError("run already finalized; call begin() to restart")
-        if self.mode == "turbo":
-            return self._step_turbo(n_generations)
         n, pop = self.n_replicas, self.pop
         rows = self._rows
-        single_class = self._slot_tables.shape[0] == 1
-        slot_tt = self._slot_tables[0] if single_class else self._slot_tables
-        class_idx = self._class_idx
         remaining = self.n_generations - self._gen
         todo = remaining if n_generations is None else min(n_generations, remaining)
         if todo <= 0:
@@ -527,99 +605,56 @@ class BatchBehavioralGA:
         cur, consumed = self._cur, self._consumed
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-
-        n_pairs = (pop - 1) // 2
-        has_tail = (pop - 1) % 2 == 1
+        n_pairs, n_slots = self._n_pairs, self._n_slots
+        has_tail = n_slots > n_pairs
 
         for gen in range(self._gen + 1, self._gen + todo + 1):
             if tracing:
                 ph = {"selection": 0.0, "crossover": 0.0, "mutation": 0.0,
                       "eval": 0.0, "elitism": 0.0, "record": 0.0}
                 t = perf_counter()
+            slot = self._slot_rows(cur)
+            # proportionate selection, all 2 x slots parents in one
+            # flattened searchsorted: threshold = (rn * sum) >> 16 (up to
+            # 2**40, so int64), first member whose cumulative fitness
+            # exceeds it, last member as the hardware fallback
             cum = fits.cumsum(axis=1)
-            total = cum[:, -1:]  # (n, 1) for broadcasting over both parents
             flat = (cum + self._row_offsets).ravel()
-            inds_flat = inds.ravel()
-            new_inds = np.empty((n, pop), dtype=np.int64)
+            thresholds = (slot[:, :, _W1 : _W2 + 1] * cum[:, -1:]) >> 16
+            picks = np.minimum(
+                flat.searchsorted(
+                    (thresholds + self._row_offsets).ravel(), side="right"
+                ),
+                self._sel_cap,
+            )
+            parents = inds.ravel()[picks].reshape(n_slots, n, 2)
+            p1, p2 = parents[:, :, 0], parents[:, :, 1]
             if tracing:
                 now = perf_counter()
                 ph["selection"] += now - t
                 t = now
-            new_inds[:, 0] = best_ind  # elitism
+            # single-point crossover as an XOR update; XMASK is zero where
+            # a slot's crossover decision failed
+            diff = (p1 ^ p2) & slot[:, :, _XMASK]
             if tracing:
                 now = perf_counter()
-                ph["elitism"] += now - t
+                ph["crossover"] += now - t
                 t = now
-            col = 1
-            if not tracing:
-                # the uninstrumented hot loop, byte-identical to the PR 1
-                # engine: no per-slot branches on the disabled path
-                for _ in range(n_pairs + has_tail):
-                    tail = col == pop - 1
-                    R = slot_tt[cur] if single_class else slot_tt[class_idx, cur]
-                    # proportionate selection, both parents in one
-                    # searchsorted: threshold = (rn * sum) >> 16, first
-                    # member whose cumulative fitness exceeds it, last
-                    # member as the hardware fallback
-                    thresholds = (R[:, :2] * total) >> 16
-                    picks = np.minimum(
-                        flat.searchsorted(
-                            (thresholds + self._row_offsets).ravel(), side="right"
-                        ),
-                        self._sel_cap,
-                    )
-                    parents = inds_flat[picks]
-                    p1, p2 = parents[0::2], parents[1::2]
-                    # single-point crossover as an XOR update; XMASK is zero
-                    # when this slot's crossover decision failed
-                    diff = (p1 ^ p2) & R[:, _XMASK]
-                    new_inds[:, col] = (p1 ^ diff) ^ R[:, _M1BIT]
-                    col += 1
-                    if tail:
-                        consumed += R[:, _CONSUMED1]
-                        cur = R[:, _NEXT1]
-                    else:
-                        new_inds[:, col] = (p2 ^ diff) ^ R[:, _M2BIT]
-                        col += 1
-                        consumed += R[:, _CONSUMED]
-                        cur = R[:, _NEXT]
+            new_inds = np.empty((n, pop), dtype=np.int64)
+            new_inds[:, 1::2] = (p1 ^ diff ^ slot[:, :, _M1BIT]).T
+            new_inds[:, 2::2] = (p2 ^ diff ^ slot[:, :, _M2BIT])[:n_pairs].T
+            if has_tail:
+                consumed += slot[:-1, :, _CONSUMED].sum(axis=0)
+                consumed += slot[-1, :, _CONSUMED1]
+                cur = slot[-1, :, _NEXT1].astype(np.int64)
             else:
-                # the same slot loop with per-phase walls; every operation
-                # and its order is identical, only timestamps are added
-                for _ in range(n_pairs + has_tail):
-                    tail = col == pop - 1
-                    R = slot_tt[cur] if single_class else slot_tt[class_idx, cur]
-                    thresholds = (R[:, :2] * total) >> 16
-                    picks = np.minimum(
-                        flat.searchsorted(
-                            (thresholds + self._row_offsets).ravel(), side="right"
-                        ),
-                        self._sel_cap,
-                    )
-                    parents = inds_flat[picks]
-                    p1, p2 = parents[0::2], parents[1::2]
-                    now = perf_counter()
-                    ph["selection"] += now - t
-                    t = now
-                    diff = (p1 ^ p2) & R[:, _XMASK]
-                    c1 = p1 ^ diff
-                    c2 = p2 ^ diff
-                    now = perf_counter()
-                    ph["crossover"] += now - t
-                    t = now
-                    new_inds[:, col] = c1 ^ R[:, _M1BIT]
-                    col += 1
-                    if tail:
-                        consumed += R[:, _CONSUMED1]
-                        cur = R[:, _NEXT1]
-                    else:
-                        new_inds[:, col] = c2 ^ R[:, _M2BIT]
-                        col += 1
-                        consumed += R[:, _CONSUMED]
-                        cur = R[:, _NEXT]
-                    now = perf_counter()
-                    ph["mutation"] += now - t
-                    t = now
+                consumed += slot[:, :, _CONSUMED].sum(axis=0)
+                cur = slot[-1, :, _NEXT].astype(np.int64)
+            if tracing:
+                now = perf_counter()
+                ph["mutation"] += now - t
+                t = now
+            new_inds[:, 0] = best_ind  # elitism
             inds = new_inds
             # selection only reads the previous generation's fitness, so the
             # whole offspring generation is evaluated in one table gather
@@ -670,72 +705,6 @@ class BatchBehavioralGA:
         self._inds, self._fits = inds, fits
         self._best_ind, self._best_fit = best_ind, best_fit
         self._cur, self._consumed = cur, consumed
-        return todo
-
-    def _step_turbo(self, n_generations: int | None) -> int:
-        """The turbo generation loop: a handful of array passes per
-        generation, no per-slot Python iteration.
-
-        Elitism, best tracking, recording, and tracing follow the exact
-        engine's semantics verbatim (column 0 carries the elite register,
-        strict-improvement best updates, the same ``ga.generation`` /
-        ``ga.phases`` events) — only the offspring construction inside
-        :meth:`TurboKernel.generation` differs.  The stream bank advances
-        live (``block2d`` draws), so ``_consumed`` stays zero and
-        :meth:`finalize`'s hand-back is a no-op position sync.
-        """
-        remaining = self.n_generations - self._gen
-        todo = remaining if n_generations is None else min(n_generations, remaining)
-        if todo <= 0:
-            return 0
-        rows = self._rows
-        kernel = self._turbo
-        inds, fits = self._inds, self._fits
-        best_ind, best_fit = self._best_ind, self._best_fit
-        self.bank.pos = self._cur % self.bank._size
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
-
-        for gen in range(self._gen + 1, self._gen + todo + 1):
-            if tracing:
-                ph = {"selection": 0.0, "crossover": 0.0, "mutation": 0.0,
-                      "eval": 0.0, "elitism": 0.0, "record": 0.0}
-                t = perf_counter()
-            inds = kernel.generation(self.bank, inds, fits, best_ind)
-            if tracing:
-                now = perf_counter()
-                # the fused kernel does selection+crossover+mutation in one
-                # pass; report it under "selection" with zero-filled peers
-                # so phase_breakdown keys stay stable across modes
-                ph["selection"] += now - t
-                t = now
-            fits = self._eval(inds)
-            if tracing:
-                now = perf_counter()
-                ph["eval"] += now - t
-                t = now
-            fits[:, 0] = best_fit
-            best_idx = fits.argmax(axis=1)
-            gen_best = fits[rows, best_idx]
-            improved = gen_best > best_fit
-            best_fit = np.where(improved, gen_best, best_fit)
-            best_ind = np.where(improved, inds[rows, best_idx], best_ind)
-            if tracing:
-                now = perf_counter()
-                ph["elitism"] += now - t
-                t = now
-            self._record(
-                gen, fits, gen_best, inds[rows, best_idx], fits.sum(axis=1)
-            )
-            if tracing:
-                ph["record"] += perf_counter() - t
-                tracer.event("ga.phases", generation=gen, phases=ph)
-
-        self.evaluations += todo * (self.pop - 1)
-        self._gen += todo
-        self._inds, self._fits = inds, fits
-        self._best_ind, self._best_fit = best_ind, best_fit
-        self._cur = self.bank.pos.copy()
         return todo
 
     def finalize(self) -> list:
@@ -791,17 +760,14 @@ class BatchBehavioralGA:
 def run_batched(
     jobs: Sequence[tuple[GAParameters, FitnessFunction]],
     record_members: bool = False,
-    mode: str = "exact",
 ) -> list:
     """Run a heterogeneous sweep through the batch engine.
 
     ``jobs`` is any sequence of ``(params, fitness)`` cells; cells sharing
     ``(n_generations, population_size)`` are grouped into one
     :class:`BatchBehavioralGA` run each, and the results come back in input
-    order — in the default exact mode, bit-identical to looping
-    ``BehavioralGA(params, fitness).run()`` over the jobs one by one
-    (``mode="turbo"`` trades that bit-identity for the vectorised hot
-    path; see the engine docstring).
+    order — bit-identical to looping ``BehavioralGA(params, fitness).run()``
+    over the jobs one by one.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (params, _fn) in enumerate(jobs):
@@ -812,9 +778,7 @@ def run_batched(
     for indices in groups.values():
         params_list = [jobs[i][0] for i in indices]
         fns = [jobs[i][1] for i in indices]
-        batch = BatchBehavioralGA(
-            params_list, fns, record_members=record_members, mode=mode
-        )
+        batch = BatchBehavioralGA(params_list, fns, record_members=record_members)
         for i, result in zip(indices, batch.run()):
             results[i] = result
     return results

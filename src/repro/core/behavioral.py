@@ -27,10 +27,7 @@ from repro.core.validate import validate_initial_population
 from repro.fitness.base import FitnessFunction
 from repro.obs.metrics import record_engine_run
 from repro.rng.base import RandomSource
-from repro.rng.cellular_automaton import (
-    DEFAULT_RULE_VECTOR,
-    CellularAutomatonPRNG,
-)
+from repro.rng.cellular_automaton import CellularAutomatonPRNG
 
 
 class BehavioralGA:
@@ -64,16 +61,6 @@ class BehavioralGA:
         Tracing never touches the RNG or the arithmetic, so a traced run
         is bit-identical to an untraced one; with the default ``None``
         the only cost is one hoisted flag check per generation.
-    mode:
-        ``"exact"`` (default) runs the per-offspring loop below,
-        draw-for-draw identical to the hardware.  ``"turbo"`` delegates to
-        a single-replica :class:`~repro.core.batch.BatchBehavioralGA` in
-        turbo mode — the fully vectorised generation step of
-        :mod:`repro.core.turbo` — which keeps every operator's
-        distribution but not the exact RNG word allocation (see the
-        exact-vs-turbo contract in ``docs/architecture.md``).  Turbo
-        requires the CA PRNG at its default rule/spacing and does not
-        support a resilience harness (hardened runs stay exact).
     """
 
     def __init__(
@@ -84,22 +71,13 @@ class BehavioralGA:
         record_members: bool = True,
         resilience=None,
         tracer=None,
-        mode: str = "exact",
     ):
-        if mode not in ("exact", "turbo"):
-            raise ValueError(f"mode must be 'exact' or 'turbo': {mode!r}")
-        if mode == "turbo" and resilience is not None:
-            raise ValueError(
-                "turbo mode does not support a resilience harness; "
-                "hardened runs must use exact mode"
-            )
         self.params = params
         self.fitness = fitness
         self.rng = rng if rng is not None else CellularAutomatonPRNG(params.rng_seed)
         self.record_members = record_members
         self.resilience = resilience
         self.tracer = tracer
-        self.mode = mode
         self.table = fitness.table()
         self.history: list[GenerationStats] = []
         self.evaluations = 0
@@ -165,9 +143,6 @@ class BehavioralGA:
         from contextlib import nullcontext
 
         from repro.core.system import GAResult  # deferred: avoids cycle
-
-        if self.mode == "turbo":
-            return self._run_turbo(initial)
 
         pop = self.params.population_size
         table = self.table
@@ -291,64 +266,3 @@ class BehavioralGA:
             fitness_name=self.fitness.name,
             cycles=None,
         )
-
-    # ------------------------------------------------------------------
-    def _run_turbo(self, initial: np.ndarray | None):
-        """Thin serial facade over a one-replica turbo batch run.
-
-        The batch engine carries the whole vectorised hot path; this
-        wrapper only adapts shapes, keeps ``self.rng`` in sync so
-        serial-style callers (the island workers) can keep carrying
-        stream state across calls, and re-emits the results through the
-        serial attributes (``history``/``evaluations``/
-        ``final_population``).
-        """
-        from contextlib import nullcontext
-
-        from repro.core.batch import BatchBehavioralGA  # deferred: avoids cycle
-
-        rng = self.rng
-        if not isinstance(rng, CellularAutomatonPRNG):
-            raise TypeError(
-                "turbo mode requires the CA PRNG "
-                f"(got {type(rng).__name__}); use mode='exact'"
-            )
-        if rng.rule_vector != DEFAULT_RULE_VECTOR or rng.spacing != 1 or rng.width != 16:
-            raise ValueError(
-                "turbo mode supports the default CA rule vector, width, and "
-                "spacing only; use mode='exact' for custom streams"
-            )
-        pop = self.params.population_size
-        if initial is not None:
-            initial = validate_initial_population(initial, (pop,)).reshape(1, pop)
-
-        batch = BatchBehavioralGA(
-            [self.params],
-            self.fitness,
-            record_members=self.record_members,
-            rng_states=[rng.state],
-            tracer=self.tracer,
-            mode="turbo",
-        )
-        tracer = self.tracer
-        run_scope = (
-            tracer.span(
-                "ga.run",
-                engine="behavioral",
-                mode="turbo",
-                fitness=self.fitness.name,
-                pop=pop,
-                generations=self.params.n_generations,
-                seed=self.params.rng_seed,
-            )
-            if tracer is not None and tracer.enabled
-            else nullcontext()
-        )
-        with run_scope:
-            (result,) = batch.run(initial=initial)
-        self.history = batch.histories[0]
-        self.evaluations = int(batch.evaluations[0])
-        self.final_population = batch.final_populations[0].copy()
-        rng.state = int(batch.rng_states[0])
-        rng.draws += int(batch.bank.draws[0])
-        return result

@@ -2,8 +2,8 @@
 
 The paper's evaluation is a fixed grid; this module is the general form —
 an :class:`Experiment` is a named list of :class:`Scenario`s, each any
-:class:`~repro.service.jobs.GARequest`-expressible job (exact/turbo
-engines, archipelagos, hardened runs, the cycle-accurate testbench, the
+:class:`~repro.service.jobs.GARequest`-expressible job (the behavioural
+engine, archipelagos, hardened runs, the cycle-accurate testbench, the
 dual-core 32-bit composition), swept over ``nb_repeats`` derived seeds and
 executed through the serving layer with a content-addressed
 :class:`~repro.store.runstore.RunStore` attached — so re-running an
@@ -41,8 +41,9 @@ from pathlib import Path
 from repro.service.jobs import GARequest
 
 #: results.jsonl / summary.json format version (schema evolution guard
-#: for downstream tooling and the perf-trajectory consumers)
-RESULTS_SCHEMA_VERSION = 1
+#: for downstream tooling and the perf-trajectory consumers).
+#: v2: rows no longer carry an engine-mode column.
+RESULTS_SCHEMA_VERSION = 2
 
 
 def derive_seeds(scenario_name: str, base_seed: int, nb_repeats: int) -> list[int]:
@@ -199,7 +200,6 @@ def scenario_row(scenario: Scenario, repeat: int, request, result) -> dict:
         "repeat": repeat,
         "rng_seed": request.params.rng_seed,
         "substrate": request.substrate,
-        "engine_mode": request.engine_mode,
         "n_islands": request.n_islands,
         "fitness_name": request.fitness_name,
         "store_key": result.store_key,

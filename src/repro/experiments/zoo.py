@@ -7,8 +7,8 @@ content-addressed store:
 
 * **sequential logic** (Soleimani et al., PAPERS.md): evolve the complete
   next-state table of a 4-state Moore machine against counter / sequence-
-  detector targets — on the behavioral engine, the turbo engine, an
-  archipelago, and the cycle-accurate Fig. 4 testbench
+  detector targets — on the behavioral engine, an archipelago, and the
+  cycle-accurate Fig. 4 testbench
   (``substrate="cycle"``);
 * **scaled EHW** (Sec. III-D / Fig. 6): 6-input multiplexer and parity
   targets on an 8-cell virtual fabric whose 32-bit configuration runs on
@@ -64,15 +64,6 @@ SCENARIOS: dict[str, Scenario] = {
                 params=_params(24, 32, 0x061F), fitness_name="seq_detect101"
             ),
             description='overlapping "101" detector, exact engine',
-        ),
-        Scenario(
-            name="seq-counter-turbo",
-            request=GARequest(
-                params=_params(24, 32, 0x2961),
-                fitness_name="seq_counter4",
-                engine_mode="turbo",
-            ),
-            description="mod-4 counter on the vectorized turbo engine",
         ),
         Scenario(
             name="seq-archipelago",
@@ -138,14 +129,13 @@ ZOO: dict[str, Experiment] = {
             description="sequential-logic evolution + multi-objective blend",
         ),
         Experiment(
-            name="engine-modes",
+            name="engines",
             scenarios=(
                 SCENARIOS["seq-counter"],
-                SCENARIOS["seq-counter-turbo"],
                 SCENARIOS["seq-archipelago"],
             ),
             nb_repeats=2,
-            description="one workload across exact / turbo / island engines",
+            description="one workload on one population and on islands",
         ),
         Experiment(
             name="substrates",

@@ -19,13 +19,10 @@ members worst-first with one stable argsort, scatter the migrants over the
 ``rank``-th worst slots, re-evaluate the touched cells, and re-anchor the
 best-tracking registers — no per-island Python loops.
 
-Exactness contract: for any ``(params, seed, topology)`` the exact-mode
+Exactness contract: for any ``(params, seed, topology)``
 :class:`VectorIslandGA` is bit-identical to the legacy epoch loop (which
 is itself bit-identical to the pooled mode) — the differential suite in
-``tests/parallel/test_archipelago.py`` locks all three together.  Turbo
-mode carries the engine's usual turbo contract: same operator
-distributions, different word allocation, deterministic per (params,
-seed, topology) and independent of step chunking.
+``tests/parallel/test_archipelago.py`` locks all three together.
 """
 
 from __future__ import annotations
@@ -178,9 +175,8 @@ class VectorIslandGA:
     """Island model executed as one resumable batched slab.
 
     Bit-identical to the legacy :class:`~repro.parallel.islands.IslandGA`
-    epoch loop in exact mode (``IslandGA`` with ``processes=1`` delegates
-    here); turbo mode runs the same archipelago on the vectorised
-    generation kernel.  ``record_champions`` gates the O(epochs x islands)
+    epoch loop (``IslandGA`` with ``processes=1`` delegates here).
+    ``record_champions`` gates the O(epochs x islands)
     ``epoch_champions`` tuple history — leave it off for thousand-island
     runs.
     """
@@ -194,7 +190,6 @@ class VectorIslandGA:
         topology: str | MigrationTopology = "ring",
         record_champions: bool = True,
         tracer=None,
-        engine_mode: str = "exact",
     ):
         if isinstance(topology, MigrationTopology):
             validate_island_params(n_islands, migration_interval, topology.name)
@@ -207,10 +202,6 @@ class VectorIslandGA:
         else:
             validate_island_params(n_islands, migration_interval, topology)
             self.topology = build_topology(topology, n_islands, params.rng_seed)
-        if engine_mode not in ("exact", "turbo"):
-            raise ValueError(
-                f"engine_mode must be 'exact' or 'turbo': {engine_mode!r}"
-            )
         if self.topology.max_fan_in >= params.population_size:
             raise ValueError(
                 f"topology fan-in {self.topology.max_fan_in} would replace "
@@ -222,7 +213,6 @@ class VectorIslandGA:
         self.migration_interval = migration_interval
         self.record_champions = record_champions
         self.tracer = tracer
-        self.engine_mode = engine_mode
         self.seeds = island_seeds(params, n_islands)
 
     # ------------------------------------------------------------------
@@ -268,7 +258,6 @@ class VectorIslandGA:
             self.fitness,
             record_members=False,
             tracer=tracer,
-            mode=self.engine_mode,
             record_history=False,
         )
         island_fit = np.full(self.n_islands, -1, dtype=np.int64)

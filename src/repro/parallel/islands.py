@@ -76,7 +76,7 @@ def _epoch_worker(args: tuple) -> tuple[int, list[int], int, int, int, int]:
     """Run one island for one epoch.  Module-level so it pickles.
 
     args: (fitness_name, island_index, params_dict, epoch_gens, rng_state,
-    rng_seed, population_or_None, engine_mode)
+    rng_seed, population_or_None)
     returns: (island, final_population, best_ind, best_fit, rng_state,
     evaluations)
     """
@@ -88,7 +88,6 @@ def _epoch_worker(args: tuple) -> tuple[int, list[int], int, int, int, int]:
         rng_state,
         rng_seed,
         population,
-        engine_mode,
     ) = args
     # the registry shares instances process-wide, so each worker builds a
     # fitness LUT once per name for the life of the pool (the cache used
@@ -97,7 +96,7 @@ def _epoch_worker(args: tuple) -> tuple[int, list[int], int, int, int, int]:
     params = GAParameters(**params_dict).with_(n_generations=epoch_gens)
     rng = CellularAutomatonPRNG(rng_seed)
     rng.state = rng_state
-    ga = BehavioralGA(params, fn, rng=rng, record_members=False, mode=engine_mode)
+    ga = BehavioralGA(params, fn, rng=rng, record_members=False)
     initial = np.asarray(population, dtype=np.int64) if population is not None else None
     result = ga.run(initial=initial)
     return (
@@ -121,19 +120,10 @@ class IslandGA:
         migration_interval: int = 8,
         processes: int = 1,
         tracer=None,
-        engine_mode: str = "exact",
         topology: str = "ring",
         record_champions: bool = True,
     ):
         validate_island_params(n_islands, migration_interval, topology)
-        if engine_mode not in ("exact", "turbo"):
-            raise ValueError(
-                f"engine_mode must be 'exact' or 'turbo': {engine_mode!r}"
-            )
-        #: ``"exact"`` or ``"turbo"``; turbo islands stay deterministic in
-        #: both execution modes because the turbo engine's word consumption
-        #: is composition-independent (solo == batch row, per stream)
-        self.engine_mode = engine_mode
         self.params = params
         self.fitness = fitness
         self.n_islands = n_islands
@@ -219,7 +209,6 @@ class IslandGA:
                 states[i],
                 self.seeds[i],
                 populations[i],
-                self.engine_mode,
             )
             for i in range(self.n_islands)
         ]
@@ -234,7 +223,7 @@ class IslandGA:
         ]
         batch = BatchBehavioralGA(
             params_list, self.fitness, record_members=False, rng_states=states,
-            tracer=self.tracer, mode=self.engine_mode,
+            tracer=self.tracer,
         )
         initial = (
             np.asarray(populations, dtype=np.int64)
@@ -292,7 +281,6 @@ class IslandGA:
                 topology=self.topology,
                 record_champions=self.record_champions,
                 tracer=self.tracer,
-                engine_mode=self.engine_mode,
             ).run()
         return self.run_epoch_loop()
 

@@ -45,24 +45,6 @@ def ca_step(state: int, rule_vector: int = DEFAULT_RULE_VECTOR, width: int = 16)
     return (left ^ right ^ (state & rule_vector)) & mask
 
 
-def ca_step_array(
-    states: np.ndarray, rule_vector: int = DEFAULT_RULE_VECTOR, width: int = 16
-) -> np.ndarray:
-    """Word-parallel CA advance: one synchronous update of *every* state.
-
-    Rule 90/150 is pure XOR/shift arithmetic, so a whole array of replica
-    streams steps in three vectorised bit operations — the kernel the turbo
-    engine's pre-drawn word blocks ultimately rest on.  Element ``i`` of the
-    result equals ``ca_step(states[i], rule_vector, width)`` exactly
-    (property-tested against the scalar step and the orbit tables).
-    """
-    states = np.asarray(states, dtype=np.int64)
-    mask = np.int64((1 << width) - 1)
-    left = states >> 1
-    right = (states << 1) & mask
-    return (left ^ right ^ (states & np.int64(rule_vector))) & mask
-
-
 def ca_period(rule_vector: int, width: int = 16, limit: int | None = None) -> int:
     """Cycle length of the orbit containing state 1 (== ``2**width - 1`` for
     a maximal-length rule vector).  Returns -1 if no cycle is found within
@@ -107,22 +89,6 @@ def _orbit(rule_vector: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     position[orbit] = np.arange(size, dtype=np.uint32)
     cached = (orbit.astype(np.uint16), position)
     _ORBIT_CACHE[key] = cached
-    return cached
-
-
-_WRAPPED_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _wrapped_orbit(rule_vector: int, width: int) -> np.ndarray:
-    """The orbit table doubled back-to-back, so any window starting below
-    ``size`` with offsets below ``size`` can be gathered without a modulo.
-    """
-    key = (rule_vector, width)
-    cached = _WRAPPED_CACHE.get(key)
-    if cached is None:
-        orbit, _ = _orbit(rule_vector, width)
-        cached = np.concatenate([orbit, orbit])
-        _WRAPPED_CACHE[key] = cached
     return cached
 
 
@@ -176,7 +142,6 @@ class CAStreamBank:
         orbit, position = _orbit(rule_vector, width)
         self._orbit = orbit
         self._size = orbit.shape[0]
-        self._wrapped = _wrapped_orbit(rule_vector, width)
         #: Orbit index of each stream's current state.
         self.pos = position[seeds].astype(np.int64)
         #: Words consumed per stream (matches ``RandomSource.draws``).
@@ -217,43 +182,9 @@ class CAStreamBank:
         return for stream ``i``; all streams advance by ``n`` draws.
         """
         steps = self.spacing * np.arange(n, dtype=np.int64)
-        if n and int(steps[-1]) < self._size:
-            # pos < size and offsets < size: index the doubled orbit
-            # directly, skipping the (N, n) modulo pass
-            out = self._wrapped[self.pos[:, None] + steps[None, :]]
-        else:
-            idx = (self.pos[:, None] + steps[None, :]) % self._size
-            out = self._orbit[idx]
+        out = self._orbit[(self.pos[:, None] + steps[None, :]) % self._size]
         self.pos = (self.pos + self.spacing * n) % self._size
         self.draws += n
-        return out
-
-    def draw_ragged(self, counts: np.ndarray) -> np.ndarray:
-        """Per-stream variable-length draw: stream ``i`` consumes exactly
-        ``counts[i]`` words.
-
-        Returns a ``(N, counts.max())`` array whose row ``i`` holds the
-        stream's next ``counts[i]`` words in columns ``0..counts[i]-1``
-        (later columns are meaningless peeks past the consumed range and
-        must be masked by the caller).  This is the word-parallel form of
-        serial replicas taking an RNG-consuming branch a different number
-        of times — the turbo engine's binomial-sampled mutation draws its
-        ``k`` event words per replica this way — and, like :meth:`draw`
-        with a mask, keeps every stream's consumption independent of its
-        batch-mates.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        width = int(counts.max()) if counts.size else 0
-        if width == 0:
-            return np.empty((self.pos.size, 0), dtype=self._orbit.dtype)
-        steps = self.spacing * np.arange(width, dtype=np.int64)
-        if int(steps[-1]) < self._size:
-            out = self._wrapped[self.pos[:, None] + steps[None, :]]
-        else:
-            idx = (self.pos[:, None] + steps[None, :]) % self._size
-            out = self._orbit[idx]
-        self.pos = (self.pos + self.spacing * counts) % self._size
-        self.draws += counts
         return out
 
 

@@ -47,6 +47,7 @@ from repro.service.jobs import (
     JobResult,
     OverloadedError,
     QueueFullError,
+    RetiredEngineModeError,
     RetryPolicy,
     ServiceClosedError,
     ServiceError,
@@ -78,6 +79,7 @@ __all__ = [
     "JobResult",
     "OverloadedError",
     "QueueFullError",
+    "RetiredEngineModeError",
     "RetryPolicy",
     "Scheduler",
     "ServiceClosedError",

@@ -23,7 +23,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.core.stats import GenerationStats
-from repro.service.jobs import GARequest, JobHandle, JobResult, params_to_dict
+from repro.service.jobs import (
+    GARequest,
+    JobHandle,
+    JobResult,
+    params_to_dict,
+    reject_retired_mode,
+)
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ def compat_key(record: "JobRecord") -> tuple:
     """Jobs sharing this key may ride one slab.
 
     Population size is structural (it is the member axis of the 2-D
-    population array), and the engine mode is too — a slab runs entirely
-    exact or entirely turbo, never mixed; hardened jobs are never batched —
+    population array); hardened jobs are never batched —
     their fault streams are addressed per solo run — so each gets a unique
     key.  Island jobs (``n_islands > 1``) are their *own* slab already
     (replica axis = island), so they too run solo under a unique key.
@@ -100,11 +105,7 @@ def compat_key(record: "JobRecord") -> tuple:
         return ("island", record.seq)
     if record.request.substrate != "behavioral":
         return ("substrate", record.seq)
-    return (
-        "batch",
-        record.request.params.population_size,
-        record.request.engine_mode,
-    )
+    return ("batch", record.request.params.population_size)
 
 
 @dataclass
@@ -197,7 +198,6 @@ class Slab:
         if self.substrate != "behavioral" and len(entries) != 1:
             raise ValueError("non-behavioral substrate jobs run in single-job slabs")
         self.pop = entries[0].request.params.population_size
-        self.engine_mode = entries[0].request.engine_mode
         #: chunks completed by this slab (drives the checkpoint cadence)
         self.chunks_done = 0
         #: monotonic time of the first unrecovered chunk failure, for the
@@ -270,7 +270,6 @@ class Slab:
             "entries": spec_entries,
             "protection": protection,
             "island": island,
-            "mode": self.engine_mode,
             "substrate": self.substrate,
         }
 
@@ -342,7 +341,7 @@ class Slab:
                     ),
                 }
             )
-        return {"engine_mode": self.engine_mode, "entries": entries}
+        return {"entries": entries}
 
 
 def restore_records(payload: dict, seq_source, now: float) -> list[JobRecord]:
@@ -356,6 +355,7 @@ def restore_records(payload: dict, seq_source, now: float) -> list[JobRecord]:
     """
     from repro.resilience.harden import decode_checkpoint
 
+    reject_retired_mode(payload)
     records = []
     for entry in payload["entries"]:
         request = GARequest.from_dict(entry["request"])

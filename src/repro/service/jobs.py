@@ -81,6 +81,24 @@ class ShutdownTimeoutError(ServiceError):
     thread still alive; jobs still in flight fail with this error."""
 
 
+class RetiredEngineModeError(ServiceError, ValueError):
+    """A wire payload or spilled checkpoint asks for an engine mode that
+    no longer exists."""
+
+
+def reject_retired_mode(payload: dict) -> None:
+    """Fail a payload naming the retired ``engine_mode: "turbo"``.
+
+    Every job runs the one exact engine, so ``"exact"`` — what old clients
+    send — still parses and is otherwise ignored.
+    """
+    mode = payload.get("engine_mode", "exact")
+    if mode != "exact":
+        raise RetiredEngineModeError(
+            f"engine_mode {mode!r} was retired; every job runs the exact engine"
+        )
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Per-job chunk-retry behaviour for infrastructure failures.
@@ -172,10 +190,6 @@ class GARequest:
     protection: str | None = None
     upset_rate: float = 0.0
     campaign_seed: int = 2026
-    #: ``"exact"`` (bit-identical to serial, the default) or ``"turbo"``
-    #: (vectorised engine — same operator distributions, different RNG
-    #: word allocation; see ``docs/architecture.md``)
-    engine_mode: str = "exact"
     #: ``n_islands > 1`` requests an archipelago run: the job executes as
     #: one :class:`~repro.parallel.archipelago.VectorIslandGA` slab
     #: (replica axis = island), routed solo to a worker like hardened
@@ -196,15 +210,15 @@ class GARequest:
     #: the canonical job key.
     use_cache: bool = True
     #: Which engine substrate executes the job.  ``"behavioral"`` (the
-    #: default) runs the behavioural/turbo engines and batches normally;
+    #: default) runs the behavioural engines and batches normally;
     #: ``"cycle"`` runs the full cycle-accurate Fig. 4 testbench
     #: (:class:`~repro.core.system.GASystem`); ``"dual32"`` runs the
     #: Fig. 6 dual-core 32-bit composition
     #: (:class:`~repro.core.scaling.DualCoreGA32`), whose
     #: ``fitness_name`` must name a 32-bit objective from
     #: ``repro.fitness.ehw_targets.FITNESS32_REGISTRY``.  Non-behavioral
-    #: substrates run exact-mode only, solo (no islands, no protection),
-    #: in dedicated single-job slabs.
+    #: substrates run solo (no islands, no protection), in dedicated
+    #: single-job slabs.
     substrate: str = "behavioral"
 
     def __post_init__(self) -> None:
@@ -214,11 +228,6 @@ class GARequest:
                 f"{self.substrate!r}"
             )
         if self.substrate != "behavioral":
-            if self.engine_mode != "exact":
-                raise ValueError(
-                    f"substrate {self.substrate!r} jobs run the exact "
-                    f"engine only, got engine_mode={self.engine_mode!r}"
-                )
             if self.n_islands > 1:
                 raise ValueError(
                     f"substrate {self.substrate!r} jobs cannot be islands"
@@ -228,15 +237,6 @@ class GARequest:
                     f"substrate {self.substrate!r} jobs cannot request a "
                     "protection preset"
                 )
-        if self.engine_mode not in ("exact", "turbo"):
-            raise ValueError(
-                f"engine_mode must be 'exact' or 'turbo': {self.engine_mode!r}"
-            )
-        if self.engine_mode == "turbo" and self.protection is not None:
-            raise ValueError(
-                "turbo jobs cannot request a protection preset; hardened "
-                "execution requires the exact engine"
-            )
         validate_island_params(
             self.n_islands, self.migration_interval, self.topology
         )
@@ -289,7 +289,6 @@ class GARequest:
             "protection": self.protection,
             "upset_rate": self.upset_rate,
             "campaign_seed": self.campaign_seed,
-            "engine_mode": self.engine_mode,
             "n_islands": self.n_islands,
             "migration_interval": self.migration_interval,
             "topology": self.topology,
@@ -301,6 +300,7 @@ class GARequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GARequest":
+        reject_retired_mode(data)
         return cls(
             params=GAParameters(**data["params"]),
             fitness_name=data.get("fitness_name", "mBF6_2"),
@@ -310,7 +310,6 @@ class GARequest:
             protection=data.get("protection"),
             upset_rate=float(data.get("upset_rate", 0.0)),
             campaign_seed=int(data.get("campaign_seed", 2026)),
-            engine_mode=data.get("engine_mode", "exact"),
             n_islands=int(data.get("n_islands", 1)),
             migration_interval=int(data.get("migration_interval", 8)),
             topology=data.get("topology", "ring"),

@@ -262,7 +262,14 @@ class Scheduler:
         with self._cond:
             now = time.monotonic()
             for payload in self.store.claim_all():
-                records = restore_records(payload, self._seq, now)
+                try:
+                    records = restore_records(payload, self._seq, now)
+                except ValueError as exc:
+                    # claiming consumed every spill file, so one payload
+                    # that no longer validates (a retired engine mode, an
+                    # unknown fitness) must not take its siblings with it
+                    log.warning("not resuming spilled slab: %s", exc)
+                    continue
                 if not records:
                     continue
                 for record in records:
@@ -861,10 +868,9 @@ class Scheduler:
         capacity = slab.capacity_left
         if capacity <= 0 or slab.solo:
             return
-        # key must mirror compat_key exactly — it silently stopped
-        # matching when the engine mode joined the key, killing late
-        # admission into running slabs
-        key = ("batch", slab.pop, slab.engine_mode)
+        # key must mirror compat_key exactly: a mismatch silently stops
+        # late admission into running slabs
+        key = ("batch", slab.pop)
         records = self._pending.get(key)
         if not records:
             return

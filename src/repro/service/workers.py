@@ -46,7 +46,6 @@ def run_slab_chunk(spec: dict) -> dict:
     ``spec``::
 
         {"chunk_gens": int,
-         "mode": "exact" | "turbo",   # engine mode, default "exact"
          "chaos": None | {"action": "kill" | "delay", ...},  # injected fault
          "protection": None | {"preset", "upset_rate", "campaign_seed"},
          "entries": [{"job_id", "params": {...}, "fitness",
@@ -130,7 +129,6 @@ def _run_batched(spec: dict, tracer=None) -> dict:
         fns,
         rng_states=states,
         tracer=tracer,
-        mode=spec.get("mode", "exact"),
     )
     initial = np.asarray(populations, dtype=np.int64)
     results = batch.run(initial=initial)
@@ -240,7 +238,6 @@ def _run_island(spec: dict, tracer=None) -> dict:
         topology=isl["topology"],
         record_champions=False,
         tracer=tracer,
-        engine_mode=spec.get("mode", "exact"),
     )
     result = ga.run()
     stats = (

@@ -4,7 +4,7 @@ Every engine in this repo is deterministic by contract — the same
 :class:`~repro.service.jobs.GARequest` always yields the bit-identical
 :class:`~repro.service.jobs.JobResult` no matter which worker ran it, in
 what batch, or at which chunk boundaries (the property suites in
-``tests/service/test_determinism.py`` and ``tests/core/test_turbo.py``
+``tests/service/test_determinism.py`` and ``tests/core/test_batch.py``
 lock this down).  That contract makes results *content-addressable*: the
 request's determinism surface IS the result's identity, so one canonical
 hash of it can key a persistent cache of finished runs.
@@ -16,7 +16,6 @@ evolution or the shape of its recorded result:
   words the initialization handshake transfers (Sec. III-B.6), so the key
   schema mirrors the hardware programming model;
 * the fitness slot (the Sec. III-B.5 FEM mux selector);
-* the engine mode (exact vs turbo allocate RNG words differently);
 * the archipelago configuration (islands / migration interval / topology);
 * the protection configuration (preset, upset rate, campaign seed — the
   resilience fault streams are seed-addressed);
@@ -45,7 +44,9 @@ from repro.core.params import GAParameters
 #: alias (``RunStore.verify`` flags them for ``repro store gc``).
 #: v2: the request gained a ``substrate`` field (behavioral / cycle /
 #: dual32 execution engines), which joins the surface by default.
-KEY_SCHEMA_VERSION = 2
+#: v3: the request lost its engine-mode field (one exact engine remains);
+#: result digests are unchanged, only the keys move.
+KEY_SCHEMA_VERSION = 3
 
 #: Request wire fields that only schedule the job (ordering, deadlines,
 #: retries, cache policy) and can never change the result bits.

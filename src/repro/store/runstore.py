@@ -115,7 +115,6 @@ class RunStore:
             "provenance": {
                 "key_schema": KEY_SCHEMA_VERSION,
                 "repro_version": repro.__version__,
-                "engine_mode": request.engine_mode,
                 "fitness_name": request.fitness_name,
                 "created_unix": time.time(),
                 **provenance,

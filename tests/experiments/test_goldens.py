@@ -4,7 +4,7 @@ Each golden under ``src/repro/experiments/goldens/`` pins one scenario's
 repeat-0 run: the request, its content-addressed store key, the full
 deterministic result, and the result's canonical digest.  These tests
 re-execute every scenario through the ``repro replay`` machinery and
-assert byte-identity — across the exact engine, the turbo engine, the
+assert byte-identity — across the behavioural engine, the
 archipelago, the cycle-accurate testbench, and the dual-core 32-bit
 substrate.  Any engine change that moves a single bit of any zoo
 workload's outcome fails here (and the failure artifact names the field).
@@ -78,7 +78,7 @@ def test_golden_replays_bit_identically(name):
     assert digest == golden["result_digest"]
 
 
-@pytest.mark.parametrize("name", ["seq-counter", "seq-counter-turbo", "seq-archipelago"])
+@pytest.mark.parametrize("name", ["seq-counter", "seq-archipelago"])
 def test_golden_through_repro_replay(tmp_path, name):
     """The CLI path: seed a store with the golden, `repro replay` it."""
     golden = load_golden(name)

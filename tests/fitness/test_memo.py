@@ -58,6 +58,6 @@ def test_epoch_worker_reuses_shared_fitness():
     }
     for island in range(3):
         islands._epoch_worker(
-            ("mBF6_2", island, params_dict, 4, 0x061F, 0x061F, None, "exact")
+            ("mBF6_2", island, params_dict, 4, 0x061F, 0x061F, None)
         )
     assert fitness_base.TABLE_BUILDS == before  # zero rebuilds

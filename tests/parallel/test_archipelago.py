@@ -1,14 +1,11 @@
 """Differential conformance suite for the vectorized archipelago.
 
-Three implementations of the island model must agree bit-for-bit in
-exact mode — the vectorized slab (:class:`VectorIslandGA`), the legacy
-batched epoch loop (``IslandGA.run_epoch_loop`` with ``processes=1``),
-and the pooled epoch fan-out (``processes>1``) — for every
-``(params, seed, topology)``.  Turbo mode must be deterministic and
-agree between the carried slab and the per-epoch chunking of the legacy
-loop (composition independence).  Random topologies must be
-seed-deterministic.  The service must round-trip an ``n_islands`` job to
-the same numbers as a local run.
+Three implementations of the island model must agree bit-for-bit — the
+vectorized slab (:class:`VectorIslandGA`), the legacy batched epoch loop
+(``IslandGA.run_epoch_loop`` with ``processes=1``), and the pooled epoch
+fan-out (``processes>1``) — for every ``(params, seed, topology)``.
+Random topologies must be seed-deterministic.  The service must
+round-trip an ``n_islands`` job to the same numbers as a local run.
 """
 
 import numpy as np
@@ -171,7 +168,7 @@ class TestExactBitIdentity:
         assert pooled_again == vec
 
     def test_thousand_islands_bit_identical(self):
-        # the acceptance-criteria shape: a 1000-island exact-mode slab
+        # the acceptance-criteria shape: a 1000-island slab
         # agrees with the legacy processes=1 epoch loop
         p = params(n_generations=6, population_size=8, rng_seed=0x061F)
         kwargs = dict(n_islands=1000, migration_interval=3)
@@ -194,31 +191,6 @@ class TestExactBitIdentity:
         assert full.epoch_champions
         lean.epoch_champions = full.epoch_champions
         assert lean == full
-
-
-class TestTurbo:
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_turbo_deterministic_and_composition_independent(self, topology):
-        p = params(n_generations=21, rng_seed=0x2961)
-        kwargs = dict(n_islands=5, migration_interval=4, topology=topology)
-        a = VectorIslandGA(p, BF6(), engine_mode="turbo", **kwargs).run()
-        b = VectorIslandGA(p, BF6(), engine_mode="turbo", **kwargs).run()
-        # the legacy loop re-chunks the same turbo streams as one fresh
-        # engine per epoch; turbo word consumption is composition-
-        # independent, so the carried slab must agree draw-for-draw
-        c = IslandGA(
-            p, BF6(), engine_mode="turbo", **kwargs
-        ).run_epoch_loop()
-        assert a == b == c
-
-    def test_turbo_differs_from_exact_but_same_accounting(self):
-        p = params(n_generations=20)
-        kwargs = dict(n_islands=4, migration_interval=5)
-        exact = VectorIslandGA(p, BF6(), **kwargs).run()
-        turbo = VectorIslandGA(p, BF6(), engine_mode="turbo", **kwargs).run()
-        assert exact.evaluations == turbo.evaluations
-        assert exact.migrations == turbo.migrations
-        assert len(exact.best_per_epoch) == len(turbo.best_per_epoch)
 
 
 class TestValidationParity:

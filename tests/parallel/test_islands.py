@@ -168,40 +168,3 @@ class TestParallelMode:
         assert par.evaluations == seq.evaluations
         assert par.migrations == seq.migrations == 3 * 2
 
-
-class TestEngineMode:
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ValueError, match="engine_mode"):
-            IslandGA(params(), F3(), engine_mode="warp")
-
-    def test_turbo_islands_deterministic(self):
-        a = IslandGA(params(), F3(), n_islands=4, engine_mode="turbo").run()
-        b = IslandGA(params(), F3(), n_islands=4, engine_mode="turbo").run()
-        assert a.best_fitness == b.best_fitness
-        assert a.best_individual == b.best_individual
-        assert a.best_per_epoch == b.best_per_epoch
-        assert a.evaluations == b.evaluations
-
-    def test_turbo_runs_full_schedule(self):
-        ga = IslandGA(
-            params(n_generations=18), BF6(), n_islands=3,
-            migration_interval=4, engine_mode="turbo",
-        )
-        result = ga.run()
-        # 4 full epochs + remainder 2; migrations after all but the last
-        assert result.migrations == 4 * 3
-        assert result.evaluations > 0
-        assert len(result.best_per_epoch) == 5
-
-    def test_turbo_pooled_matches_batched(self):
-        """Composition independence carries to the process pool: pooled
-        turbo epochs equal the one-batch fast path."""
-        batched = IslandGA(
-            params(), F3(), n_islands=2, engine_mode="turbo", processes=1
-        ).run()
-        pooled = IslandGA(
-            params(), F3(), n_islands=2, engine_mode="turbo", processes=2
-        ).run()
-        assert batched.best_fitness == pooled.best_fitness
-        assert batched.best_per_epoch == pooled.best_per_epoch
-        assert batched.evaluations == pooled.evaluations

@@ -118,13 +118,13 @@ class TestSlabPayloadRestore:
 class TestCheckpointStore:
     def test_save_claim_discard_cycle(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(1, {"engine_mode": "exact", "entries": []})
-        store.save(2, {"engine_mode": "turbo", "entries": []})
+        store.save(1, {"tag": "first", "entries": []})
+        store.save(2, {"tag": "second", "entries": []})
         assert len(store.spilled()) == 2
         store.discard(1)
         assert len(store.spilled()) == 1
         payloads = store.claim_all()
-        assert [p["engine_mode"] for p in payloads] == ["turbo"]
+        assert [p["tag"] for p in payloads] == ["second"]
         assert store.spilled() == []  # claiming consumes the files
 
     def test_discard_missing_is_silent(self, tmp_path):
@@ -132,7 +132,7 @@ class TestCheckpointStore:
 
     def test_corrupt_and_mismatched_files_are_skipped(self, tmp_path, caplog):
         store = CheckpointStore(tmp_path)
-        store.save(1, {"engine_mode": "exact", "entries": []})
+        store.save(1, {"entries": []})
         (tmp_path / "slab-0-7.json").write_text("{half a json")
         (tmp_path / "slab-0-8.json").write_text(
             json.dumps({"spill_version": SPILL_VERSION + 1})
@@ -146,7 +146,7 @@ class TestCheckpointStore:
 
     def test_save_is_atomic_replace(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.save(5, {"entries": [], "engine_mode": "exact"})
+        path = store.save(5, {"entries": []})
         assert path.exists() and not path.with_suffix(".tmp").exists()
         data = json.loads(path.read_text())
         assert data["spill_version"] == SPILL_VERSION

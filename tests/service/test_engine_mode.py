@@ -1,140 +1,110 @@
-"""Engine-mode plumbing through the serving layer.
+"""The retired engine-mode wire field.
 
-Turbo jobs ride the same scheduler/batcher/worker stack as exact ones but
-must never share a slab with them (a slab runs entirely one mode), and a
-turbo job's result must be deterministic per ``(params, seed)`` no matter
-how the scheduler chunks or batches it — the serving-layer face of the
-turbo composition-independence contract.
+Every job runs the one exact engine.  A wire payload or spilled slab
+checkpoint that still asks for the retired vectorised mode fails with a
+named error instead of silently running something else, while the
+``"exact"`` an old client sends parses as before.
 """
 
+import itertools
+import json
+import threading
 import time
 
 import pytest
 
 from repro.core.params import GAParameters
-from repro.service.batcher import BatchPolicy, JobRecord, compat_key
+from repro.service import (
+    BatchPolicy,
+    CheckpointStore,
+    GAService,
+    RetiredEngineModeError,
+    ServiceTCPServer,
+    Slab,
+)
+from repro.service.batcher import JobRecord, restore_records
 from repro.service.jobs import GARequest, JobHandle
-from repro.service.server import GAService
+from repro.service.server import call, error_kind
+
+PARAMS = GAParameters(
+    n_generations=16, population_size=16,
+    crossover_threshold=12, mutation_threshold=1, rng_seed=0x061F,
+)
 
 
-def _request(seed, mode="exact", gens=24, pop=32, protection=None):
-    return GARequest(
-        params=GAParameters(
-            n_generations=gens, population_size=pop,
-            crossover_threshold=12, mutation_threshold=1, rng_seed=seed,
-        ),
-        engine_mode=mode,
-        protection=protection,
+def _payload(**extra) -> dict:
+    data = GARequest(params=PARAMS).to_dict()
+    data.update(extra)
+    return data
+
+
+def _spilled_payload(seed: int) -> dict:
+    request = GARequest(params=PARAMS.with_(rng_seed=seed))
+    record = JobRecord(
+        job_id=seed, request=request,
+        handle=JobHandle(seed, request, time.time()),
+        submitted_at=time.time(), seq=0,
     )
-
-
-def _record(request, seq=0):
-    return JobRecord(
-        job_id=seq, request=request,
-        handle=JobHandle(seq, request, time.time()),
-        submitted_at=time.time(), seq=seq,
-    )
-
-
-# -- request validation and wire format -------------------------------
-
-
-def test_engine_mode_round_trips_through_wire_format():
-    request = _request(0x061F, mode="turbo")
-    data = request.to_dict()
-    assert data["engine_mode"] == "turbo"
-    assert GARequest.from_dict(data) == request
+    record.remaining = PARAMS.n_generations
+    return json.loads(json.dumps(Slab([record], BatchPolicy()).checkpoint_payload()))
 
 
 def test_engine_mode_defaults_to_exact_for_old_clients():
-    data = _request(0x061F).to_dict()
-    del data["engine_mode"]  # a pre-turbo client's payload
-    assert GARequest.from_dict(data).engine_mode == "exact"
+    # a payload from before the field existed and one from a client that
+    # still sends "exact" are the same request, which no longer names it
+    plain = GARequest.from_dict(_payload())
+    assert GARequest.from_dict(_payload(engine_mode="exact")) == plain
+    assert "engine_mode" not in plain.to_dict()
 
 
 def test_unknown_engine_mode_rejected():
-    with pytest.raises(ValueError, match="engine_mode"):
-        _request(0x061F, mode="warp")
+    for mode in ("turbo", "warp"):
+        with pytest.raises(RetiredEngineModeError, match="engine_mode"):
+            GARequest.from_dict(_payload(engine_mode=mode))
 
 
-def test_turbo_plus_protection_rejected():
-    with pytest.raises(ValueError, match="exact"):
-        _request(0x061F, mode="turbo", protection="hardened")
+def test_retired_mode_is_a_named_error_over_tcp():
+    with GAService(workers=1, mode="thread") as service:
+        server = ServiceTCPServer(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            response = call(
+                *server.endpoint,
+                {"op": "submit", "job": _payload(engine_mode="turbo")},
+                timeout=30,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+    assert error_kind(response) == "RetiredEngineModeError"
 
 
-# -- batching ---------------------------------------------------------
+def test_spilled_turbo_checkpoint_rejected():
+    slab_level = _spilled_payload(0x2961)
+    slab_level["engine_mode"] = "turbo"
+    with pytest.raises(RetiredEngineModeError):
+        restore_records(slab_level, itertools.count(), now=0.0)
+    job_level = _spilled_payload(0x2961)
+    job_level["entries"][0]["request"]["engine_mode"] = "turbo"
+    with pytest.raises(RetiredEngineModeError):
+        restore_records(job_level, itertools.count(), now=0.0)
+    # the "exact" an older build spilled still resumes
+    old_exact = _spilled_payload(0x2961)
+    old_exact["engine_mode"] = "exact"
+    (record,) = restore_records(old_exact, itertools.count(), now=0.0)
+    assert record.request.params.rng_seed == 0x2961
 
 
-def test_modes_never_share_a_slab():
-    exact = _record(_request(0x061F, mode="exact"), seq=0)
-    turbo = _record(_request(0x2961, mode="turbo"), seq=1)
-    same_mode = _record(_request(0x7B41, mode="turbo"), seq=2)
-    assert compat_key(exact) != compat_key(turbo)
-    assert compat_key(turbo) == compat_key(same_mode)
-
-
-def test_slab_spec_carries_mode():
-    from repro.service.batcher import Slab
-
-    slab = Slab([_record(_request(0x061F, mode="turbo"))], BatchPolicy())
-    spec = slab.make_spec(chunk_gens=8)
-    assert spec["mode"] == "turbo"
-
-
-# -- end to end -------------------------------------------------------
-
-
-def _run_jobs(mode, admit_interval):
-    policy = BatchPolicy(
-        max_batch=8, max_wait_s=0.005, admit_interval=admit_interval
-    )
-    service = GAService(workers=2, mode="thread", policy=policy).start()
-    try:
-        handles = [
-            service.submit(_request(100 + i, mode=mode, gens=40))
-            for i in range(6)
-        ]
-        return [h.result(60).to_dict() for h in handles]
-    finally:
-        service.shutdown()
-
-
-def test_turbo_jobs_deterministic_across_chunkings():
-    """Chunk length and slab composition are scheduling artefacts; a
-    turbo job's full result is a function of its request alone."""
-    a = _run_jobs("turbo", admit_interval=16)
-    b = _run_jobs("turbo", admit_interval=7)
-    for x, y in zip(a, b):
-        for key in ("best_individual", "best_fitness", "evaluations",
-                    "history"):
-            assert x[key] == y[key]
-
-
-def test_mixed_mode_burst_completes():
-    policy = BatchPolicy(max_batch=8, max_wait_s=0.005, admit_interval=16)
-    service = GAService(workers=2, mode="thread", policy=policy).start()
-    try:
-        requests = [
-            _request(200 + i, mode=("turbo" if i % 2 else "exact"), gens=24)
-            for i in range(8)
-        ]
-        results = service.run_all(requests, timeout=60)
-    finally:
-        service.shutdown()
-    assert [r.job_id for r in results] == sorted(r.job_id for r in results)
-    assert all(r.best_fitness > 0 for r in results)
-
-    # the exact jobs must be untouched by turbo slab-mates: bit-identical
-    # to running them alone
-    service = GAService(workers=1, mode="thread", policy=policy).start()
-    try:
-        solo = service.run_all(
-            [r for i, r in enumerate(requests) if i % 2 == 0], timeout=60
-        )
-    finally:
-        service.shutdown()
-    mixed_exact = [r for i, r in enumerate(results) if i % 2 == 0]
-    for a, b in zip(mixed_exact, solo):
-        assert a.best_individual == b.best_individual
-        assert a.best_fitness == b.best_fitness
-        assert a.evaluations == b.evaluations
+def test_resume_skips_a_retired_checkpoint_and_keeps_the_rest(tmp_path):
+    store = CheckpointStore(tmp_path)
+    retired = _spilled_payload(0x2961)
+    retired["engine_mode"] = "turbo"
+    store.save(1, retired)
+    store.save(2, _spilled_payload(0x7B41))
+    with GAService(
+        workers=1, mode="thread", spill_dir=tmp_path, resume=True
+    ) as service:
+        (handle,) = service.resumed_handles
+        assert handle.result(timeout=60).job_id == 0x7B41
+    assert store.spilled() == []

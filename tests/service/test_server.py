@@ -2,10 +2,12 @@
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,63 @@ class TestCLIRoundTrip:
             if server.poll() is None:
                 server.kill()
                 server.wait()
+
+    def test_sigterm_drains_like_sigint(self):
+        """``repro serve`` with process workers shuts the service down on
+        SIGTERM: it exits cleanly and leaves no pool worker behind."""
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("child discovery reads /proc")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--workers", "2", "--mode", "process",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env, cwd=REPO_ROOT,
+        )
+        children: list[int] = []
+        try:
+            banner = server.stdout.readline().strip()
+            assert banner.startswith("serving on ")
+            host, port = banner.split()[-1].rsplit(":", 1)
+            result = submit_remote(host, int(port), request(), timeout=60)
+            assert result.best_fitness >= 0
+            children = _children(server.pid)
+            assert children  # the job ran in a forked pool worker
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in children):
+                assert time.monotonic() < deadline, "pool workers outlived serve"
+                time.sleep(0.05)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            for pid in children:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while scanning
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """True unless ``pid`` is gone or a zombie awaiting its reaper."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"

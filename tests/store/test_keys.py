@@ -31,7 +31,7 @@ params_st = st.builds(
     rng_seed=st.integers(1, 0xFFFF),
 )
 
-#: solo exact requests (protection/turbo/island constraints stay legal);
+#: solo requests (protection/island constraints stay legal);
 #: the scheduling fields vary freely so their irrelevance is exercised on
 #: every example
 requests_st = st.builds(
@@ -41,7 +41,6 @@ requests_st = st.builds(
     priority=st.integers(-5, 5),
     deadline_s=st.none() | st.floats(0.01, 100.0),
     record_trace=st.booleans(),
-    engine_mode=st.sampled_from(["exact", "turbo"]),
     use_cache=st.booleans(),
 )
 
@@ -68,7 +67,6 @@ def test_determinism_field_perturbation_changes_key(request, data):
                 "mutation_threshold",
                 "rng_seed",
                 "fitness_name",
-                "engine_mode",
                 "record_trace",
                 "n_islands",
                 "topology",
@@ -102,9 +100,6 @@ def test_determinism_field_perturbation_changes_key(request, data):
             st.sampled_from(sorted(set(REGISTRY) - {request.fitness_name}))
         )
         perturbed = replace(request, fitness_name=other)
-    elif field == "engine_mode":
-        mode = "turbo" if request.engine_mode == "exact" else "exact"
-        perturbed = replace(request, engine_mode=mode)
     elif field == "record_trace":
         perturbed = replace(request, record_trace=not request.record_trace)
     elif field == "n_islands":
@@ -167,7 +162,7 @@ def test_key_is_pinned_across_versions():
         params=GAParameters(64, 32, 10, 1, 0x061F), fitness_name="mBF6_2"
     )
     assert job_key(request) == (
-        "9754badf48e5d01ae19a50aef3699bcebf2dc63d9a861ef86b2d64607e98be8e"
+        "85c73bbc30fc0800a7f11cc282fccf45fac72f6ea9d5890020ef2518d4ada1d6"
     )
     assert job_key(request) == job_key(GARequest.from_dict(request.to_dict()))
 

@@ -1,6 +1,6 @@
 """Replay bit-identity and the differential cache-hit == cold property.
 
-Across every engine path the service offers (exact, turbo, island,
+Across every engine path the service offers (batched, island,
 hardened), a result served from the store must be bit-identical to a
 cold recomputation, and ``repro replay`` must confirm it.
 """
@@ -20,7 +20,6 @@ PARAMS = GAParameters(
 
 REQUESTS = {
     "exact": GARequest(params=PARAMS, fitness_name="mBF6_2"),
-    "turbo": GARequest(params=PARAMS, fitness_name="mBF6_2", engine_mode="turbo"),
     "island": GARequest(
         params=PARAMS, fitness_name="mShubert2D",
         n_islands=4, migration_interval=4, topology="ring",
@@ -75,7 +74,7 @@ def test_cache_hit_equals_cold_recompute(tmp_path, label):
 
 
 def test_run_cached_round_trip(tmp_path):
-    request = REQUESTS["turbo"]
+    request = REQUESTS["exact"]
     store = RunStore(tmp_path)
     r1, hit1, key1 = run_cached(store, request)
     r2, hit2, key2 = run_cached(store, request)

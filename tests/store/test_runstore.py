@@ -41,7 +41,6 @@ def test_put_get_round_trip(store):
     assert entry.result.to_dict() == result.to_dict()
     assert entry.provenance["source"] == "test"
     assert entry.provenance["compute_s"] == 0.5
-    assert entry.provenance["engine_mode"] == "exact"
     assert "repro_version" in entry.provenance
     assert store.get_result(key).best_fitness == result.best_fitness
 
