@@ -11,7 +11,7 @@ from conftest import print_table
 from repro.core.behavioral import BehavioralGA
 from repro.core.params import GAParameters
 from repro.fitness import BF6
-from repro.parallel import IslandGA
+from repro.parallel import VectorIslandGA
 
 PARAMS = GAParameters(
     n_generations=32,
@@ -36,7 +36,7 @@ def test_island_scaling(benchmark):
             }
         )
         for n in (2, 4, 8):
-            result = IslandGA(
+            result = VectorIslandGA(
                 PARAMS, BF6(), n_islands=n, migration_interval=8
             ).run()
             rows.append(

@@ -5,14 +5,16 @@ Several GA engines (think: several GA IP cores on one fabric, or one per
 FPGA in a multichip intrinsic-EHW system) evolve independent populations;
 at every epoch boundary each island's champion migrates to its ring
 neighbour.  Compare a single engine against island ensembles at equal and
-at scaled evaluation budgets.
+at scaled evaluation budgets.  The whole archipelago runs as one batched
+slab (replica axis = island), so more islands cost array width, not more
+engines.
 """
 
 import time
 
 from repro import BehavioralGA, GAParameters
 from repro.fitness import MBF6_2
-from repro.parallel import IslandGA
+from repro.parallel import VectorIslandGA
 
 
 def main() -> None:
@@ -34,25 +36,13 @@ def main() -> None:
 
     for n_islands in (2, 4, 8):
         t0 = time.perf_counter()
-        res = IslandGA(
+        res = VectorIslandGA(
             params, fn, n_islands=n_islands, migration_interval=8
         ).run()
         dt = time.perf_counter() - t0
-        print(f"{n_islands} islands (sequential) : best {res.best_fitness:>5}, "
+        print(f"{n_islands} islands               : best {res.best_fitness:>5}, "
               f"evals {res.evaluations:>5}, migrations {res.migrations:>2}, "
               f"island bests {res.island_bests}, {dt * 1e3:.0f} ms")
-
-    print("\nprocess-pool execution (same results, wall-clock scaling):")
-    for procs in (1, 2, 4):
-        ga = IslandGA(params, fn, n_islands=4, migration_interval=8,
-                      processes=procs)
-        t0 = time.perf_counter()
-        res = ga.run()
-        dt = time.perf_counter() - t0
-        print(f"processes={procs}: best {res.best_fitness:>5} in {dt * 1e3:6.0f} ms")
-    print("\n(for these small populations process startup dominates; the")
-    print(" pool pays off when fitness evaluation is expensive, e.g. real")
-    print(" EHW measurement loops)")
 
 
 if __name__ == "__main__":

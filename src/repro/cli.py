@@ -186,9 +186,9 @@ def cmd_run(args) -> None:
         )
     try:
         if islands > 1:
-            from repro.parallel import IslandGA
+            from repro.parallel import VectorIslandGA
 
-            result = IslandGA(
+            result = VectorIslandGA(
                 params, fn,
                 n_islands=islands,
                 migration_interval=args.migration_interval,

@@ -235,9 +235,9 @@ class BatchBehavioralGA:
         Keep every member's fitness per generation in the history (needed
         for the Figs. 8-12 scatter data); off by default for sweeps.
     rng_states:
-        Optional per-replica CA states to resume the streams from (the
-        island model carries streams across migration epochs); defaults to
-        each replica's ``params.rng_seed``.
+        Optional per-replica CA states to resume the streams from (a
+        service slab resuming suspended jobs); defaults to each replica's
+        ``params.rng_seed``.
     resilience:
         Optional :class:`~repro.resilience.harden.ResilienceHarness` with
         ``n_replicas`` matching the batch width.  Its ``batch_boundary``
@@ -430,9 +430,8 @@ class BatchBehavioralGA:
         leaves the engine paused at generation 0.  ``initial`` optionally
         seeds every replica's population with an
         ``(n_replicas, population_size)`` array of already-evaluated
-        individuals (the island model carrying populations across epochs,
-        or a service slab resuming suspended jobs); seeded members are
-        *not* counted as new FEM evaluations.
+        individuals (a service slab resuming suspended jobs); seeded
+        members are *not* counted as new FEM evaluations.
         """
         n, pop = self.n_replicas, self.pop
         rows = self._rows

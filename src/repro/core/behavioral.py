@@ -133,8 +133,8 @@ class BehavioralGA:
         :class:`repro.core.system.GAResult`.
 
         ``initial`` optionally seeds the population with given individuals
-        (used by the island model to carry populations across migration
-        epochs); when omitted the population is drawn from the RNG exactly
+        (how a serial island-model epoch resumes a migrated population);
+        when omitted the population is drawn from the RNG exactly
         like the hardware.  A seeded population is already evaluated, so it
         does not count towards ``self.evaluations`` — only genuinely new
         FEM requests do.  The final population is kept in

@@ -1,15 +1,20 @@
 """Shared input validation for the behavioural GA engines.
 
 The serial and batched engines accept caller-supplied initial populations
-(the island model carrying populations across epochs, the service layer
-resuming suspended slabs).  Both must enforce the same contract — 16-bit
-non-negative integer chromosomes in the engine's expected layout — and,
-critically, must *disagree on nothing*: a payload that raises from one
-engine raises the same named error from the other (the parity property in
-``tests/core/test_validate.py``).  Before this helper existed the serial
-engine silently masked out-of-range members with ``& 0xFFFF`` while the
-batch engine raised, so the same bad job produced different populations
-depending on which engine the scheduler happened to route it through.
+(the service layer resuming suspended slabs).  Both must enforce the same
+contract — 16-bit non-negative integer chromosomes in the engine's
+expected layout — and, critically, must *disagree on nothing*: a payload
+that raises from one engine raises the same named error from the other
+(the parity property in ``tests/core/test_validate.py``).  Before this
+helper existed the serial engine silently masked out-of-range members
+with ``& 0xFFFF`` while the batch engine raised, so the same bad job
+produced different populations depending on which engine the scheduler
+happened to route it through.
+
+The island-model checks live here too, fan-in included, so a request
+that no archipelago could run is refused at admission rather than in a
+worker: :func:`topology_fan_in` derives the fan-in from the spec alone
+and :func:`torus_grid` is the one place the torus grid shape is decided.
 """
 
 from __future__ import annotations
@@ -25,17 +30,18 @@ KNOWN_TOPOLOGIES: tuple[str, ...] = ("ring", "torus", "random")
 
 
 def validate_island_params(
-    n_islands: int, migration_interval: int, topology: str
+    n_islands: int, migration_interval: int, topology: str, population_size: int
 ) -> None:
     """Check island-model parameters with named errors.
 
     The same contract is enforced — via this one helper, so the messages
-    cannot drift — by :class:`~repro.parallel.islands.IslandGA`,
-    :class:`~repro.parallel.archipelago.VectorIslandGA`, the service wire
-    layer (:class:`~repro.service.jobs.GARequest`), and the CLI.
-    ``n_islands == 1`` is the degenerate single-population archipelago
-    (no migration edges), which is how a non-island job is encoded on the
-    wire.
+    cannot drift — by :class:`~repro.parallel.archipelago.VectorIslandGA`
+    (and so the CLI's ``run --islands``) and by the service wire layer
+    (:class:`~repro.service.jobs.GARequest`).  ``n_islands == 1`` is the
+    degenerate single-population archipelago (no migration edges), which
+    is how a non-island job is encoded on the wire.  A topology whose
+    fan-in would replace a whole population at a migration boundary is
+    rejected here, before any wiring is built.
     """
     if not isinstance(n_islands, int) or isinstance(n_islands, bool):
         raise ValueError(f"n_islands must be an integer: {n_islands!r}")
@@ -51,7 +57,39 @@ def validate_island_params(
         raise ValueError(
             f"migration_interval must be >= 1: {migration_interval}"
         )
-    parse_topology(topology)
+    fan_in = topology_fan_in(topology, n_islands)
+    if fan_in >= population_size:
+        raise ValueError(
+            f"topology fan-in {fan_in} would replace "
+            f"a whole population of {population_size}"
+        )
+
+
+def torus_grid(n_islands: int) -> tuple[int, int]:
+    """The torus's most-square factorization ``rows x cols = n_islands``
+    with ``rows <= cols``; a prime count gives a ``1 x n`` row."""
+    rows = next(
+        r for r in range(int(n_islands**0.5), 0, -1) if n_islands % r == 0
+    )
+    return rows, n_islands // rows
+
+
+def topology_fan_in(topology: str, n_islands: int) -> int:
+    """Most migrants one island receives per boundary, from the spec.
+
+    Equal to ``build_topology(topology, n_islands, seed).max_fan_in`` for
+    every seed (property-tested) without building the wiring: 0 for one
+    island, 1 for a ring, 2 for a torus whose grid has more than one row
+    (else 1), and ``min(k, n_islands - 1)`` for ``random:k``.
+    """
+    name, k = parse_topology(topology)
+    if n_islands < 2:
+        return 0
+    if name == "ring":
+        return 1
+    if name == "torus":
+        return 2 if torus_grid(n_islands)[0] > 1 else 1
+    return min(k, n_islands - 1)
 
 
 def parse_topology(topology: str) -> tuple[str, int]:

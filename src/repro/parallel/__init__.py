@@ -3,12 +3,13 @@
 The related-work section cites pipelined/parallel hardware GA architectures
 [11]-[13]; the natural multi-core analogue of "several GA cores on one
 fabric" is the island model: independent GA engines with periodic best-
-individual migration.  :mod:`repro.parallel.islands` implements it over
-``multiprocessing`` (no external dependencies), with a deterministic
-single-process mode for tests.
+individual migration.  :mod:`repro.parallel.archipelago` implements it as
+one batched slab whose replica axis is the island axis, in a single
+process; the service's worker pool is where jobs run in parallel.
 """
 
 from repro.parallel.archipelago import (
+    IslandResult,
     MigrationTopology,
     VectorIslandGA,
     build_topology,
@@ -16,10 +17,8 @@ from repro.parallel.archipelago import (
     random_topology,
     torus_topology,
 )
-from repro.parallel.islands import IslandGA, IslandResult
 
 __all__ = [
-    "IslandGA",
     "IslandResult",
     "MigrationTopology",
     "VectorIslandGA",

@@ -1,15 +1,25 @@
-"""Vectorized archipelago: the whole island model as one batched slab.
+"""The island model: the whole archipelago as one batched slab.
 
-The legacy island loop (:mod:`repro.parallel.islands`) treats each island
-as a unit of Python work — one engine construction per island per epoch in
-batched mode, pickled round-trips per epoch in pooled mode.  This module
-maps the archipelago onto a *single* resumable
+Models a fabric carrying several GA IP cores (the multi-core direction of
+Sec. II-B / the hybrid system of Fig. 5): ``n_islands`` behavioural
+engines evolve independent populations in epochs of ``migration_interval``
+generations; at each epoch boundary champions migrate over a programmable
+:class:`MigrationTopology` (ring by default), each migrant replacing a
+worst member of its destination.  Populations are carried across epochs
+(no restarts).  When ``n_generations`` is not a multiple of
+``migration_interval`` a final partial epoch runs the remainder, so
+exactly ``n_generations`` generations execute per island; no migration
+happens after the final epoch (there is nothing left to evolve the
+migrants).
+
+:class:`VectorIslandGA` maps the archipelago onto a *single* resumable
 :class:`~repro.core.batch.BatchBehavioralGA` whose replica axis is the
-island axis: one ``(islands, pop)`` population array, one multi-stream RNG
-bank, advanced ``migration_interval`` generations per :meth:`step`, which
-is the "many GA IP cores on one fabric" direction of Sec. II-B scaled the
-way Torquato & Fernandes run fully pipelined concurrent populations — and
-the (islands x pop x bits) layout a future GPU/array backend needs.
+island axis: one ``(islands, pop)`` population array, one multi-stream
+RNG bank, advanced ``migration_interval`` generations per :meth:`step`,
+which is the "many GA IP cores on one fabric" direction of Sec. II-B
+scaled the way Torquato & Fernandes run fully pipelined concurrent
+populations.  Process parallelism lives one layer up, in the service's
+supervised worker pool, which runs each archipelago job as one slab.
 
 Migration is a pure array operation.  A :class:`MigrationTopology` holds
 the archipelago wiring as precomputed edge arrays (``sources``, ``dests``,
@@ -20,9 +30,10 @@ members worst-first with one stable argsort, scatter the migrants over the
 best-tracking registers — no per-island Python loops.
 
 Exactness contract: for any ``(params, seed, topology)``
-:class:`VectorIslandGA` is bit-identical to the legacy epoch loop (which
-is itself bit-identical to the pooled mode) — the differential suite in
-``tests/parallel/test_archipelago.py`` locks all three together.
+:class:`VectorIslandGA` is bit-identical to serial :class:`BehavioralGA`
+epochs per island with carried RNG state and list migration — the
+independent reference in ``tests/parallel/epoch_oracle.py`` that the
+differential suite in ``tests/parallel/test_archipelago.py`` holds it to.
 """
 
 from __future__ import annotations
@@ -34,9 +45,37 @@ import numpy as np
 
 from repro.core.batch import BatchBehavioralGA
 from repro.core.params import GAParameters
-from repro.core.validate import parse_topology, validate_island_params
+from repro.core.validate import (
+    parse_topology,
+    torus_grid,
+    validate_island_params,
+)
 from repro.fitness.base import FitnessFunction
 from repro.obs.metrics import record_archipelago_run
+
+
+@dataclass
+class IslandResult:
+    """Outcome of an island-model run.
+
+    ``epoch_champions[e][i]`` is island ``i``'s ``(individual, fitness)``
+    champion at the end of epoch ``e`` — the full migration-candidate
+    history, not just the final survivor — which is what migration-policy
+    analysis needs; it is O(epochs x islands) and sits behind the
+    ``record_champions`` flag so thousand-island runs can drop it.
+    ``epoch_summary[e]`` is the O(epochs) digest that always stays on:
+    ``(best_fitness, best_individual, champion_fitness_sum)`` at the end
+    of epoch ``e`` (the rows a service job's history is built from).
+    """
+
+    best_individual: int
+    best_fitness: int
+    island_bests: list[int]
+    migrations: int
+    evaluations: int
+    best_per_epoch: list[int]
+    epoch_champions: list[list[tuple[int, int]]] = field(default_factory=list)
+    epoch_summary: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -92,8 +131,8 @@ class MigrationTopology:
 
 
 def ring_topology(n_islands: int) -> MigrationTopology:
-    """Island ``i`` sends to ``(i + 1) mod n`` — the legacy hardware-style
-    ring.  One island degenerates to zero edges (nothing to rotate)."""
+    """Island ``i`` sends to ``(i + 1) mod n`` — the hardware-style ring.
+    One island degenerates to zero edges (nothing to rotate)."""
     if n_islands < 2:
         empty = np.empty(0, dtype=np.int64)
         return MigrationTopology("ring", n_islands, empty, empty)
@@ -104,19 +143,15 @@ def ring_topology(n_islands: int) -> MigrationTopology:
 def torus_topology(n_islands: int) -> MigrationTopology:
     """2-D wrap-around grid: every island sends right and down.
 
-    The grid is the most-square factorization ``rows x cols = n`` with
-    ``rows <= cols``; a prime count degenerates to a ``1 x n`` row whose
-    "down" edges are self-edges and are dropped, leaving a ring.
+    The grid is :func:`~repro.core.validate.torus_grid`'s most-square
+    factorization ``rows x cols = n``; a prime count degenerates to a
+    ``1 x n`` row whose "down" edges are self-edges and are dropped,
+    leaving a ring.
     """
     if n_islands < 2:
         empty = np.empty(0, dtype=np.int64)
         return MigrationTopology("torus", n_islands, empty, empty)
-    rows = 1
-    for r in range(int(n_islands**0.5), 0, -1):
-        if n_islands % r == 0:
-            rows = r
-            break
-    cols = n_islands // rows
+    rows, cols = torus_grid(n_islands)
     r, c = np.divmod(np.arange(n_islands, dtype=np.int64), cols)
     sources, dests = [], []
     if cols > 1:
@@ -164,8 +199,7 @@ def build_topology(spec: str, n_islands: int, seed: int) -> MigrationTopology:
 
 def island_seeds(params: GAParameters, n_islands: int) -> list[int]:
     """Decorrelated per-island offsets of the programmed seed (the
-    programmable-seed feature, once per core) — shared with the legacy
-    loop so both paths seed identically."""
+    programmable-seed feature, once per core)."""
     return [
         ((params.rng_seed + 0x9E37 * i) & 0xFFFF) or 1 for i in range(n_islands)
     ]
@@ -174,8 +208,6 @@ def island_seeds(params: GAParameters, n_islands: int) -> list[int]:
 class VectorIslandGA:
     """Island model executed as one resumable batched slab.
 
-    Bit-identical to the legacy :class:`~repro.parallel.islands.IslandGA`
-    epoch loop (``IslandGA`` with ``processes=1`` delegates here).
     ``record_champions`` gates the O(epochs x islands)
     ``epoch_champions`` tuple history — leave it off for thousand-island
     runs.
@@ -187,38 +219,32 @@ class VectorIslandGA:
         fitness: FitnessFunction,
         n_islands: int = 4,
         migration_interval: int = 8,
-        topology: str | MigrationTopology = "ring",
+        topology: str = "ring",
         record_champions: bool = True,
         tracer=None,
     ):
-        if isinstance(topology, MigrationTopology):
-            validate_island_params(n_islands, migration_interval, topology.name)
-            if topology.n_islands != n_islands:
-                raise ValueError(
-                    f"topology wires {topology.n_islands} islands, "
-                    f"got n_islands={n_islands}"
-                )
-            self.topology = topology
-        else:
-            validate_island_params(n_islands, migration_interval, topology)
-            self.topology = build_topology(topology, n_islands, params.rng_seed)
-        if self.topology.max_fan_in >= params.population_size:
-            raise ValueError(
-                f"topology fan-in {self.topology.max_fan_in} would replace "
-                f"a whole population of {params.population_size}"
-            )
+        validate_island_params(
+            n_islands, migration_interval, topology, params.population_size
+        )
         self.params = params
         self.fitness = fitness
         self.n_islands = n_islands
         self.migration_interval = migration_interval
+        #: archipelago wiring, seed-deterministic for ``"random[:k]"``
+        self.topology = build_topology(topology, n_islands, params.rng_seed)
         self.record_champions = record_champions
+        #: optional :class:`~repro.obs.tracer.Tracer`: one ``ga.run`` span,
+        #: an ``island.epoch`` span per epoch (nesting the batched engine's
+        #: per-generation events) and an ``island.migration`` event per
+        #: boundary.  Results are identical with tracing on or off.
         self.tracer = tracer
         self.seeds = island_seeds(params, n_islands)
 
     # ------------------------------------------------------------------
     def epoch_schedule(self) -> list[int]:
-        """Generations per epoch (same contract as the legacy loop): full
-        ``migration_interval`` epochs plus a final partial remainder."""
+        """Generations per epoch: full ``migration_interval`` epochs plus a
+        final partial epoch for the remainder, summing to exactly
+        ``n_generations``."""
         full, remainder = divmod(
             self.params.n_generations, self.migration_interval
         )
@@ -235,16 +261,13 @@ class VectorIslandGA:
         cols = order[topo.dests, topo.rank]
         batch.replace_members(topo.dests, cols, champ_ind[topo.sources])
         # a freshly arrived migrant can be an island's champion — restart
-        # the champion race from the migrated populations, exactly like
-        # the legacy loop's fresh engine per epoch
+        # the champion race from the migrated populations, exactly like a
+        # fresh serial engine per epoch would
         batch.reanchor_best()
 
-    def run(self):
-        """Run every epoch on one carried slab; returns an
-        :class:`~repro.parallel.islands.IslandResult`."""
+    def run(self) -> IslandResult:
+        """Run every epoch on one carried slab."""
         from contextlib import nullcontext
-
-        from repro.parallel.islands import IslandResult
 
         schedule = self.epoch_schedule()
         topo = self.topology
@@ -272,7 +295,6 @@ class VectorIslandGA:
             tracer.span(
                 "ga.run",
                 engine="island",
-                vectorized=True,
                 fitness=self.fitness.name,
                 islands=self.n_islands,
                 migration_interval=self.migration_interval,
@@ -292,7 +314,7 @@ class VectorIslandGA:
                 with epoch_scope:
                     if epoch == 0:
                         # inside the first epoch span so the generation-0
-                        # trace event nests like the legacy loop's
+                        # trace event nests under an epoch like the rest
                         batch.begin()
                     batch.step(epoch_gens)
                     champ_ind, champ_fit = batch.champions()

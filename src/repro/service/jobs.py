@@ -238,7 +238,10 @@ class GARequest:
                     "protection preset"
                 )
         validate_island_params(
-            self.n_islands, self.migration_interval, self.topology
+            self.n_islands,
+            self.migration_interval,
+            self.topology,
+            self.params.population_size,
         )
         if self.n_islands > 1 and self.protection is not None:
             raise ValueError(

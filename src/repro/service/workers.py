@@ -221,7 +221,7 @@ def _run_island(spec: dict, tracer=None) -> dict:
     returned ``stats`` rows are per *epoch* —
     ``(best_fitness, best_individual, champion_fitness_sum)`` — and
     ``island_stats`` carries the archipelago counters.  Results are
-    bit-identical to a local ``IslandGA(processes=1).run()`` of the same
+    bit-identical to a local ``VectorIslandGA(...).run()`` of the same
     request by construction (same engine, same seeds, same topology
     wiring from the job's ``rng_seed``).
     """

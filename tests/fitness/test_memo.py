@@ -2,9 +2,11 @@
 
 import threading
 
+from repro.core.params import GAParameters
 from repro.fitness import base as fitness_base
 from repro.fitness.functions import REGISTRY, by_name, fresh_instance
-from repro.parallel import islands
+from repro.service.jobs import params_to_dict
+from repro.service.workers import run_slab_chunk
 
 
 def test_by_name_returns_shared_instance():
@@ -44,20 +46,26 @@ def test_shared_instance_threadsafe_lookup():
 
 
 def test_epoch_worker_reuses_shared_fitness():
-    """Regression for the cache hoist: the per-worker ``_FN_CACHE`` that
-    used to live in ``parallel.islands`` is gone — epoch workers now ride
-    the registry's shared instances, building each LUT at most once."""
-    assert not hasattr(islands, "_FN_CACHE")
-    assert not hasattr(islands, "_worker_fitness")
+    """The service's island worker rides the registry's shared instances:
+    repeated archipelago chunks build each LUT at most once per process."""
     by_name("mBF6_2").table()  # pre-build, as any earlier consumer would
     before = dict(fitness_base.TABLE_BUILDS)
-    params_dict = {
-        "n_generations": 4, "population_size": 8,
-        "crossover_threshold": 10, "mutation_threshold": 1,
-        "rng_seed": 0x061F,
+    params = GAParameters(
+        n_generations=4, population_size=8, crossover_threshold=10,
+        mutation_threshold=1, rng_seed=0x061F,
+    )
+    spec = {
+        "chunk_gens": 4,
+        "entries": [{
+            "job_id": 0, "params": params_to_dict(params),
+            "fitness": "mBF6_2", "population": None, "rng_state": None,
+            "record_stats": True,
+        }],
+        "protection": None,
+        "island": {"n_islands": 3, "migration_interval": 2,
+                   "topology": "ring"},
     }
-    for island in range(3):
-        islands._epoch_worker(
-            ("mBF6_2", island, params_dict, 4, 0x061F, 0x061F, None)
-        )
+    for _ in range(3):
+        out = run_slab_chunk(spec)
+        assert out["entries"][0]["island_stats"]["islands"] == 3
     assert fitness_base.TABLE_BUILDS == before  # zero rebuilds

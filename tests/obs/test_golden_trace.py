@@ -15,7 +15,7 @@ from repro.core.system import GASystem
 from repro.fitness.functions import by_name
 from repro.obs import Tracer, events, get_registry, spans
 from repro.obs.analyze import best_series, phase_breakdown, sum_series
-from repro.parallel.islands import IslandGA
+from repro.parallel import VectorIslandGA
 from repro.resilience import PROTECTION_PRESETS, ResilienceHarness, UpsetRates
 
 PARAMS = GAParameters(
@@ -113,8 +113,8 @@ def test_cycle_accurate_bit_identity_and_trace():
 
 def test_island_bit_identity_and_epoch_spans():
     tracer = Tracer()
-    base = IslandGA(PARAMS, FN, n_islands=4, migration_interval=8).run()
-    traced = IslandGA(
+    base = VectorIslandGA(PARAMS, FN, n_islands=4, migration_interval=8).run()
+    traced = VectorIslandGA(
         PARAMS, FN, n_islands=4, migration_interval=8, tracer=tracer
     ).run()
     assert base.best_fitness == traced.best_fitness

@@ -1,11 +1,12 @@
 """Differential conformance suite for the vectorized archipelago.
 
-Three implementations of the island model must agree bit-for-bit — the
-vectorized slab (:class:`VectorIslandGA`), the legacy batched epoch loop
-(``IslandGA.run_epoch_loop`` with ``processes=1``), and the pooled epoch
-fan-out (``processes>1``) — for every ``(params, seed, topology)``.
-Random topologies must be seed-deterministic.  The service must
-round-trip an ``n_islands`` job to the same numbers as a local run.
+The batched slab (:class:`VectorIslandGA`) must agree bit-for-bit with
+the independent serial reference in :mod:`tests.parallel.epoch_oracle`
+— one :class:`BehavioralGA` pass per island per epoch with list
+migration — for every ``(params, seed, topology)``.  Random topologies
+must be seed-deterministic, the spec-derived fan-in must match the built
+wiring, and the service must round-trip an ``n_islands`` job to the same
+numbers as a local run.
 """
 
 import numpy as np
@@ -14,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import GAParameters
-from repro.core.validate import validate_island_params
-from repro.fitness import BF6, F3
+from repro.core.validate import topology_fan_in, validate_island_params
+from repro.fitness import F3
 from repro.fitness.functions import by_name
-from repro.parallel import IslandGA, VectorIslandGA, build_topology
+from repro.parallel import VectorIslandGA, build_topology
 from repro.parallel.archipelago import (
     MigrationTopology,
     random_topology,
     ring_topology,
     torus_topology,
 )
+from tests.parallel.epoch_oracle import run_epoch_oracle
 
 TOPOLOGIES = ["ring", "torus", "random", "random:3"]
 
@@ -101,6 +103,18 @@ class TestTopologies:
         assert build_topology("torus", 4, 1).name == "torus"
         assert build_topology("random:2", 4, 1).name == "random"
 
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 0xFFFF))
+    def test_spec_fan_in_matches_built_wiring(self, seed):
+        # every island count up to 199, so each torus grid shape (prime
+        # rows of one, square-ish grids) and every random:k clamp is hit
+        for spec in ("ring", "torus", "random", "random:1", "random:5",
+                     "random:300"):
+            for n_islands in range(1, 200):
+                assert topology_fan_in(spec, n_islands) == (
+                    build_topology(spec, n_islands, seed).max_fan_in
+                ), (spec, n_islands)
+
 
 class TestExactBitIdentity:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -111,20 +125,15 @@ class TestExactBitIdentity:
     def test_vector_matches_legacy_loop(
         self, topology, n_islands, interval, gens, seed
     ):
+        # "legacy" is the serial epoch loop the slab replaced, kept as
+        # the independent oracle
         p = params(n_generations=gens, rng_seed=seed)
-        legacy = IslandGA(
-            p, F3(), n_islands=n_islands, migration_interval=interval,
-            topology=topology,
-        ).run_epoch_loop()
-        vec = VectorIslandGA(
-            p, F3(), n_islands=n_islands, migration_interval=interval,
-            topology=topology,
-        ).run()
-        assert vec == legacy
-
-    def test_delegated_run_is_the_vector_path(self):
-        ga = IslandGA(params(), BF6(), n_islands=4, migration_interval=5)
-        assert ga.run() == ga.run_epoch_loop()
+        kwargs = dict(
+            n_islands=n_islands, migration_interval=interval, topology=topology
+        )
+        assert VectorIslandGA(p, F3(), **kwargs).run() == run_epoch_oracle(
+            p, F3(), **kwargs
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -133,48 +142,29 @@ class TestExactBitIdentity:
         gens=st.integers(1, 24),
         seed=st.integers(1, 0xFFFF),
         topology=st.sampled_from(TOPOLOGIES),
+        fitness=st.sampled_from(["F3", "BF6", "mBF6_2"]),
     )
     def test_property_vector_vs_legacy(
-        self, n_islands, interval, gens, seed, topology
+        self, n_islands, interval, gens, seed, topology, fitness
     ):
         p = params(
             n_generations=gens, population_size=8, rng_seed=seed
         )
-        legacy = IslandGA(
-            p, F3(), n_islands=n_islands, migration_interval=interval,
-            topology=topology,
-        ).run_epoch_loop()
-        vec = VectorIslandGA(
-            p, F3(), n_islands=n_islands, migration_interval=interval,
-            topology=topology,
-        ).run()
-        assert vec == legacy
-
-    @pytest.mark.parametrize("topology", ["ring", "torus"])
-    def test_pooled_matches_vector(self, topology):
-        p = params(n_generations=12, population_size=8)
-        with IslandGA(
-            p, F3(), n_islands=3, migration_interval=4, processes=2,
-            topology=topology,
-        ) as pooled_ga:
-            pooled = pooled_ga.run()
-            # the persistent pool survives a second run on the same
-            # instance and still agrees (warm worker fitness caches)
-            pooled_again = pooled_ga.run()
-        vec = IslandGA(
-            p, F3(), n_islands=3, migration_interval=4, topology=topology
-        ).run()
-        assert pooled == vec
-        assert pooled_again == vec
+        fn = by_name(fitness)
+        kwargs = dict(
+            n_islands=n_islands, migration_interval=interval, topology=topology
+        )
+        assert VectorIslandGA(p, fn, **kwargs).run() == run_epoch_oracle(
+            p, fn, **kwargs
+        )
 
     def test_thousand_islands_bit_identical(self):
         # the acceptance-criteria shape: a 1000-island slab
-        # agrees with the legacy processes=1 epoch loop
+        # agrees with the serial epoch oracle
         p = params(n_generations=6, population_size=8, rng_seed=0x061F)
         kwargs = dict(n_islands=1000, migration_interval=3)
         vec = VectorIslandGA(p, F3(), **kwargs).run()
-        legacy = IslandGA(p, F3(), **kwargs).run_epoch_loop()
-        assert vec == legacy
+        assert vec == run_epoch_oracle(p, F3(), **kwargs)
         assert len(vec.island_bests) == 1000
         assert vec.migrations == 1000  # one ring boundary
 
@@ -202,6 +192,7 @@ class TestValidationParity:
             dict(topology="star"),
             dict(topology="ring:3"),
             dict(topology="random:0"),
+            dict(population_size=4, n_islands=8, topology="random:4"),
         ],
     )
     def test_same_error_from_every_layer(self, kwargs):
@@ -209,20 +200,15 @@ class TestValidationParity:
 
         base = dict(n_islands=4, migration_interval=8, topology="ring")
         merged = {**base, **kwargs}
+        pop = merged.pop("population_size", 16)
+        p = params(population_size=pop)
         with pytest.raises(ValueError) as direct:
-            validate_island_params(**merged)
-        with pytest.raises(ValueError) as legacy:
-            IslandGA(params(), F3(), **merged)
-        with pytest.raises(ValueError) as vector:
-            VectorIslandGA(params(), F3(), **merged)
+            validate_island_params(**merged, population_size=pop)
+        with pytest.raises(ValueError) as engine:
+            VectorIslandGA(p, F3(), **merged)
         with pytest.raises(ValueError) as wire:
-            GARequest(params=params(), **merged)
-        assert (
-            str(direct.value)
-            == str(legacy.value)
-            == str(vector.value)
-            == str(wire.value)
-        )
+            GARequest(params=p, **merged)
+        assert str(direct.value) == str(engine.value) == str(wire.value)
 
     def test_fan_in_cannot_swallow_population(self):
         with pytest.raises(ValueError, match="fan-in"):
@@ -245,7 +231,7 @@ class TestServiceRoundTrip:
         with GAService(workers=2, mode="thread",
                        policy=BatchPolicy(max_batch=8)) as service:
             result = service.submit(request).result(timeout=60)
-        local = IslandGA(
+        local = VectorIslandGA(
             p, by_name("mBF6_2"), n_islands=6, migration_interval=5,
             topology="torus",
         ).run()

@@ -1,10 +1,10 @@
-"""Tests for the island-model parallel GA."""
+"""Tests for the island-model GA (:class:`VectorIslandGA`)."""
 
 import pytest
 
 from repro.core.params import GAParameters
 from repro.fitness import BF6, F3
-from repro.parallel import IslandGA
+from repro.parallel import VectorIslandGA
 
 
 def params(**overrides):
@@ -24,30 +24,30 @@ class TestConstruction:
         # n_islands=1 is the legal degenerate archipelago (no edges);
         # zero or negative is a named error
         with pytest.raises(ValueError):
-            IslandGA(params(), F3(), n_islands=0)
+            VectorIslandGA(params(), F3(), n_islands=0)
 
     def test_single_island_runs(self):
-        result = IslandGA(params(), F3(), n_islands=1).run()
+        result = VectorIslandGA(params(), F3(), n_islands=1).run()
         assert result.migrations == 0
         assert len(result.island_bests) == 1
 
     def test_migration_interval_positive(self):
         with pytest.raises(ValueError):
-            IslandGA(params(), F3(), migration_interval=0)
+            VectorIslandGA(params(), F3(), migration_interval=0)
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError, match="unknown topology"):
-            IslandGA(params(), F3(), topology="star")
+            VectorIslandGA(params(), F3(), topology="star")
 
     def test_island_seeds_distinct_and_nonzero(self):
-        ga = IslandGA(params(), F3(), n_islands=8)
+        ga = VectorIslandGA(params(), F3(), n_islands=8)
         assert len(set(ga.seeds)) == 8
         assert all(s != 0 for s in ga.seeds)
 
 
 class TestSequentialRun:
     def test_runs_all_epochs(self):
-        ga = IslandGA(params(), F3(), n_islands=3, migration_interval=4)
+        ga = VectorIslandGA(params(), F3(), n_islands=3, migration_interval=4)
         result = ga.run()
         assert len(result.best_per_epoch) == 4  # 16 gens / 4 per epoch
         # migrations happen at epoch *boundaries* only: none after the
@@ -57,7 +57,7 @@ class TestSequentialRun:
     def test_remainder_generations_run(self):
         # 14 generations at interval 4 = three full epochs plus a final
         # partial epoch of 2; the remainder must not be silently dropped
-        ga = IslandGA(
+        ga = VectorIslandGA(
             params(n_generations=14, population_size=8),
             F3(),
             n_islands=2,
@@ -70,7 +70,7 @@ class TestSequentialRun:
         assert result.evaluations == (8 + 14 * 7) * 2
 
     def test_interval_longer_than_run_is_one_epoch(self):
-        ga = IslandGA(
+        ga = VectorIslandGA(
             params(n_generations=5, population_size=8),
             F3(),
             n_islands=2,
@@ -82,24 +82,24 @@ class TestSequentialRun:
         assert result.evaluations == (8 + 5 * 7) * 2
 
     def test_no_migration_after_final_epoch(self):
-        ga = IslandGA(params(), F3(), n_islands=4, migration_interval=8)
+        ga = VectorIslandGA(params(), F3(), n_islands=4, migration_interval=8)
         result = ga.run()  # 16 gens / 8 = 2 epochs, 1 boundary
         assert result.migrations == 4 * 1
 
     def test_best_is_max_over_islands(self):
-        ga = IslandGA(params(), BF6(), n_islands=4, migration_interval=8)
+        ga = VectorIslandGA(params(), BF6(), n_islands=4, migration_interval=8)
         result = ga.run()
         assert result.best_fitness == max(result.island_bests)
 
     def test_epoch_bests_monotone(self):
-        ga = IslandGA(params(n_generations=32), BF6(), n_islands=3)
+        ga = VectorIslandGA(params(n_generations=32), BF6(), n_islands=3)
         result = ga.run()
         series = result.best_per_epoch
         assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_deterministic(self):
-        a = IslandGA(params(), BF6(), n_islands=3).run()
-        b = IslandGA(params(), BF6(), n_islands=3).run()
+        a = VectorIslandGA(params(), BF6(), n_islands=3).run()
+        b = VectorIslandGA(params(), BF6(), n_islands=3).run()
         assert a.best_individual == b.best_individual
         assert a.best_per_epoch == b.best_per_epoch
 
@@ -109,13 +109,13 @@ class TestSequentialRun:
         from repro.core.behavioral import BehavioralGA
 
         single = BehavioralGA(params(n_generations=32), BF6()).run()
-        islands = IslandGA(
+        islands = VectorIslandGA(
             params(n_generations=32), BF6(), n_islands=4, migration_interval=8
         ).run()
         assert islands.best_fitness >= single.best_fitness * 0.98
 
     def test_epoch_champions_trace_shape_and_consistency(self):
-        ga = IslandGA(params(), BF6(), n_islands=3, migration_interval=4)
+        ga = VectorIslandGA(params(), BF6(), n_islands=3, migration_interval=4)
         result = ga.run()
         assert len(result.epoch_champions) == 4  # one row per epoch
         assert all(len(row) == 3 for row in result.epoch_champions)
@@ -139,32 +139,10 @@ class TestSequentialRun:
 
     def test_evaluations_accumulate_across_islands(self):
         p = params(n_generations=8, population_size=8)
-        ga = IslandGA(p, F3(), n_islands=2, migration_interval=4)
+        ga = VectorIslandGA(p, F3(), n_islands=2, migration_interval=4)
         result = ga.run()
         # the initial population is evaluated once per island; later epochs
         # resume an already-evaluated population, so each island costs
         # pop + n_generations*(pop-1) FEM requests in total
         assert result.evaluations == (8 + 8 * 7) * 2
-
-
-class TestParallelMode:
-    def test_pool_matches_sequential(self):
-        # processes=1 runs all islands in one BatchBehavioralGA call per
-        # epoch; the pooled per-island workers must match it bit for bit
-        p = params(n_generations=8, population_size=8)
-        seq = IslandGA(p, F3(), n_islands=2, migration_interval=4, processes=1).run()
-        par = IslandGA(p, F3(), n_islands=2, migration_interval=4, processes=2).run()
-        assert par.best_individual == seq.best_individual
-        assert par.best_per_epoch == seq.best_per_epoch
-        assert par.evaluations == seq.evaluations
-
-    def test_pool_matches_sequential_with_remainder_epoch(self):
-        p = params(n_generations=10, population_size=8)
-        seq = IslandGA(p, F3(), n_islands=3, migration_interval=4, processes=1).run()
-        par = IslandGA(p, F3(), n_islands=3, migration_interval=4, processes=2).run()
-        assert par.best_individual == seq.best_individual
-        assert par.island_bests == seq.island_bests
-        assert par.best_per_epoch == seq.best_per_epoch
-        assert par.evaluations == seq.evaluations
-        assert par.migrations == seq.migrations == 3 * 2
 

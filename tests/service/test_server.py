@@ -79,6 +79,21 @@ class TestTCPServer:
         assert response["error"]["kind"] == "MalformedJSON"
         assert "detail" in response["error"]
 
+    def test_over_large_fan_in_is_bad_request_and_never_queued(
+        self, live_server
+    ):
+        host, port = live_server
+        job = request(pop=4).to_dict()
+        job.update(n_islands=8, topology="random:4")
+        response = call(host, port, {"op": "submit", "job": job})
+        assert not response["ok"]
+        assert response["error"]["kind"] == "BadRequest"
+        assert response["error"]["detail"] == (
+            "topology fan-in 4 would replace a whole population of 4"
+        )
+        jobs = call(host, port, {"op": "metrics"})["metrics"]["jobs"]
+        assert jobs["submitted"] == 0 and jobs["failed"] == 0
+
     def test_remote_rejection_surfaces_as_service_error(self):
         # a closed service rejects submissions; the client must see a
         # ServiceError naming the remote failure, not a silent hang

@@ -57,6 +57,40 @@ class TestCommands:
         assert main(["run", "--fitness", "F3", "--pop", "8", "--gens", "2",
                      "--seed", "0xB342"]) == 0
 
+    def test_run_islands_matches_direct_engine(self, capsys):
+        from repro import GAParameters, fitness_by_name
+        from repro.parallel import VectorIslandGA
+
+        rc = main([
+            "run", "--fitness", "mBF6_2", "--pop", "16", "--gens", "18",
+            "--seed", "45890", "--islands", "4", "--migration-interval",
+            "4", "--topology", "torus",
+        ])
+        assert rc == 0
+        direct = VectorIslandGA(
+            GAParameters(
+                n_generations=18, population_size=16, crossover_threshold=10,
+                mutation_threshold=1, rng_seed=45890,
+            ),
+            fitness_by_name("mBF6_2"), n_islands=4, migration_interval=4,
+            topology="torus",
+        ).run()
+        out = capsys.readouterr().out
+        assert (
+            f"best {direct.best_fitness} at {direct.best_individual}" in out
+        )
+        assert "4 islands/torus" in out
+        assert f", {direct.migrations} migrations, " in out
+        assert f", {direct.evaluations} evaluations" in out
+
+    def test_run_islands_rejects_over_large_fan_in(self):
+        with pytest.raises(
+            ValueError,
+            match="topology fan-in 4 would replace a whole population of 4",
+        ):
+            main(["run", "--pop", "4", "--gens", "4", "--islands", "8",
+                  "--topology", "random:4"])
+
     def test_table6(self, capsys):
         assert main(["table6"]) == 0
         out = capsys.readouterr().out
