@@ -65,7 +65,7 @@ def service_run():
     # so the bench measures steady-state batching throughput (the chunked
     # late-admission path is covered by tests/service/test_determinism.py)
     policy = BatchPolicy(
-        max_batch=32, max_wait_s=0.01, admit_interval=64, max_pending=N_JOBS
+        max_batch=32, admit_interval=64, max_pending=N_JOBS
     )
     with GAService(workers=2, mode="process", policy=policy) as service:
         results = service.run_all(list(JOBS), timeout=600)
@@ -172,7 +172,7 @@ def faulted_run(kill_chunks=()):
         else None
     )
     policy = BatchPolicy(
-        max_batch=4, max_wait_s=0.01, admit_interval=16,
+        max_batch=4, admit_interval=16,
         max_pending=FAULT_N_JOBS,
     )
     with GAService(

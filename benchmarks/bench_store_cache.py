@@ -70,7 +70,7 @@ def warm_hit_round(tmp_path):
 
 
 def burst(store_dir, cache: bool):
-    policy = BatchPolicy(max_batch=2, max_wait_s=0.005, admit_interval=32)
+    policy = BatchPolicy(max_batch=2, admit_interval=32)
     with GAService(
         workers=1, mode="thread", policy=policy,
         store_dir=store_dir, cache=cache,

@@ -44,7 +44,9 @@ def print_table(title: str, rows: list[dict], keys: list[str] | None = None) -> 
 
 def _git_sha(root: str) -> str | None:
     """The commit the benches ran on: CI's ``GITHUB_SHA``, else the
-    checkout's ``HEAD`` (None outside a git checkout)."""
+    checkout's ``HEAD`` (None outside a git checkout), suffixed
+    ``-dirty`` when ``src`` or ``benchmarks`` differ from it — such a
+    row measured uncommitted code, not that commit."""
     if os.environ.get("GITHUB_SHA"):
         return os.environ["GITHUB_SHA"]
     try:
@@ -52,11 +54,16 @@ def _git_sha(root: str) -> str | None:
             ["git", "rev-parse", "HEAD"],
             cwd=root, capture_output=True, text=True, timeout=10,
         )
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", "src", "benchmarks"],
+            cwd=root, capture_output=True, timeout=10,
+        )
     except (OSError, subprocess.SubprocessError):
         return None
-    if out.returncode != 0:
+    sha = out.stdout.strip()
+    if out.returncode != 0 or not sha:
         return None
-    return out.stdout.strip() or None
+    return f"{sha}-dirty" if dirty.returncode != 0 else sha
 
 
 def _maybe(getter):

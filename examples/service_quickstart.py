@@ -4,10 +4,11 @@
 Spins up an in-process :class:`repro.service.GAService` (the same engine
 behind ``repro serve``), submits eight jobs spread over three fitness
 slots, and prints each result next to a solo serial run of the same seed
-to show that serving never changes the numbers — the scheduler batches
-compatible jobs into one vectorised ``BatchBehavioralGA`` slab, but every
-job keeps its own RNG stream.  Finishes with the service's own metrics:
-latency percentiles, queue depth, and batch occupancy.
+to show that serving never changes the numbers — the scheduler sends a
+slab to each idle worker at once and batches later arrivals into the
+running slabs at their next chunk boundary, but every job keeps its own
+RNG stream.  Finishes with the service's own metrics: latency
+percentiles, queue depth, and batch occupancy.
 """
 
 import os
@@ -35,7 +36,7 @@ def main() -> None:
         for i, seed in enumerate(seeds)
     ]
 
-    policy = BatchPolicy(max_batch=8, max_wait_s=0.01, admit_interval=8)
+    policy = BatchPolicy(max_batch=8, admit_interval=8)
     print(f"{len(jobs)} jobs over {len(slots)} fitness slots, "
           f"pop {POP} x {GENS} generations\n")
 

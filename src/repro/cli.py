@@ -359,11 +359,9 @@ def cmd_serve(args) -> None:
 
     policy = BatchPolicy(
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
         admit_interval=args.admit_interval,
         max_pending=args.max_pending,
         chunk_timeout_s=args.chunk_timeout_s or None,
-        checkpoint_every_chunks=args.checkpoint_every,
         shed_queue_depth=args.shed_queue_depth or None,
         max_backlog_s=args.max_backlog_s or None,
     )
@@ -713,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["thread", "process"],
                            default="process")
             p.add_argument("--max-batch", type=int, default=32)
-            p.add_argument("--max-wait-ms", type=float, default=20.0)
             p.add_argument("--admit-interval", type=int, default=16)
             p.add_argument("--max-pending", type=int, default=1024)
             p.add_argument("--max-jobs", type=int, default=0,
@@ -721,9 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--chunk-timeout-s", type=float, default=0.0,
                            help="hung-chunk watchdog: retry chunks older "
                                 "than this (0 = disabled)")
-            p.add_argument("--checkpoint-every", type=int, default=1,
-                           help="spill a resumable checkpoint every N "
-                                "chunks (needs --spill-dir)")
             p.add_argument("--spill-dir", default="",
                            help="directory for resumable slab checkpoints "
                                 "(arms crash recovery)")

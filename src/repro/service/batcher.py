@@ -11,10 +11,9 @@ boundary: finished jobs retire, and compatible late arrivals are admitted
 token generation).  The chunk length is clamped to the slab's shortest
 remaining job so retirement always happens on a boundary.
 
-The policy half answers *when* to seal a new slab: immediately once
-``max_batch`` compatible jobs are pending, or when the oldest has waited
-``max_wait_s`` (the classic batching latency/throughput knob), or
-unconditionally while draining for shutdown.
+The scheduler seals a slab as soon as a worker slot is free, with however
+many compatible jobs are pending (at most ``max_batch``); late admission
+at the next chunk boundary fills the rows it sealed without.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ class BatchPolicy:
 
     #: slab width cap (the replica axis of one BatchBehavioralGA)
     max_batch: int = 32
-    #: max seconds the oldest pending job waits before a partial slab seals
-    max_wait_s: float = 0.02
     #: generations per chunk — the late-admission boundary spacing
     admit_interval: int = 16
     #: admission-control bound on the pending queue (backpressure)
@@ -56,15 +53,10 @@ class BatchPolicy:
     #: disables the estimate.  No shedding happens before the first
     #: completed chunk establishes a rate.
     max_backlog_s: float | None = None
-    #: spill a resumable checkpoint of every in-flight slab each N chunk
-    #: completions (only when the scheduler has a spill store)
-    checkpoint_every_chunks: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1: {self.max_batch}")
-        if self.max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0: {self.max_wait_s}")
         if self.admit_interval < 1:
             raise ValueError(
                 f"admit_interval must be >= 1: {self.admit_interval}"
@@ -83,29 +75,26 @@ class BatchPolicy:
             raise ValueError(
                 f"max_backlog_s must be positive: {self.max_backlog_s}"
             )
-        if self.checkpoint_every_chunks < 1:
-            raise ValueError(
-                f"checkpoint_every_chunks must be >= 1: "
-                f"{self.checkpoint_every_chunks}"
-            )
 
 
 def compat_key(record: "JobRecord") -> tuple:
     """Jobs sharing this key may ride one slab.
 
     Population size is structural (it is the member axis of the 2-D
-    population array); hardened jobs are never batched —
-    their fault streams are addressed per solo run — so each gets a unique
-    key.  Island jobs (``n_islands > 1``) are their *own* slab already
-    (replica axis = island), so they too run solo under a unique key.
+    population array), so batchable jobs key on it.  Three kinds of job
+    run *solo* under a unique ``("solo", seq)`` key: hardened jobs (their
+    fault streams are addressed per solo run), island jobs (``n_islands >
+    1``: the replica axis is already the island) and non-behavioral
+    substrates (the cycle-accurate and dual-32 engines run one job).
     """
-    if record.request.protection is not None:
-        return ("hardened", record.seq)
-    if record.request.n_islands > 1:
-        return ("island", record.seq)
-    if record.request.substrate != "behavioral":
-        return ("substrate", record.seq)
-    return ("batch", record.request.params.population_size)
+    request = record.request
+    if (
+        request.protection is not None
+        or request.n_islands > 1
+        or request.substrate != "behavioral"
+    ):
+        return ("solo", record.seq)
+    return ("batch", request.params.population_size)
 
 
 @dataclass
@@ -188,18 +177,11 @@ class Slab:
         self.slab_id = next(Slab._ids)
         self.entries = list(entries)
         self.policy = policy
-        self.hardened = entries[0].request.protection is not None
-        if self.hardened and len(entries) != 1:
-            raise ValueError("hardened jobs run in single-job slabs")
-        self.island = entries[0].request.n_islands > 1
-        if self.island and len(entries) != 1:
-            raise ValueError("island jobs run in single-job slabs")
-        self.substrate = entries[0].request.substrate
-        if self.substrate != "behavioral" and len(entries) != 1:
-            raise ValueError("non-behavioral substrate jobs run in single-job slabs")
-        self.pop = entries[0].request.params.population_size
-        #: chunks completed by this slab (drives the checkpoint cadence)
-        self.chunks_done = 0
+        #: the compat_key the slab was sealed under; late admission takes
+        #: pending jobs from this key
+        self.key = compat_key(entries[0])
+        if self.solo and len(entries) != 1:
+            raise ValueError("solo jobs run in single-job slabs")
         #: monotonic time of the first unrecovered chunk failure, for the
         #: recovery-latency histogram; cleared on the next success
         self.failed_at: float | None = None
@@ -210,7 +192,7 @@ class Slab:
     @property
     def solo(self) -> bool:
         """True for slabs that own a single job start to finish."""
-        return self.hardened or self.island or self.substrate != "behavioral"
+        return self.key[0] == "solo"
 
     @property
     def capacity_left(self) -> int:
@@ -249,17 +231,18 @@ class Slab:
                     "record_stats": record.request.record_trace,
                 }
             )
+        # a batch slab's jobs share these fields (unprotected, one island,
+        # behavioral), so the first request speaks for the whole slab
+        req = self.entries[0].request
         protection = None
-        if self.hardened:
-            req = self.entries[0].request
+        if req.protection is not None:
             protection = {
                 "preset": req.protection,
                 "upset_rate": req.upset_rate,
                 "campaign_seed": req.campaign_seed,
             }
         island = None
-        if self.island:
-            req = self.entries[0].request
+        if req.n_islands > 1:
             island = {
                 "n_islands": req.n_islands,
                 "migration_interval": req.migration_interval,
@@ -270,7 +253,7 @@ class Slab:
             "entries": spec_entries,
             "protection": protection,
             "island": island,
-            "substrate": self.substrate,
+            "substrate": req.substrate,
         }
 
     def apply_chunk(self, out: dict, chunk_gens: int) -> list[JobRecord]:
@@ -304,7 +287,6 @@ class Slab:
             if record.remaining <= 0:
                 finished.append(record)
         self.entries = [r for r in self.entries if r.remaining > 0]
-        self.chunks_done += 1
         return finished
 
     # -- checkpoint spill (scheduler restart / crash recovery) ----------

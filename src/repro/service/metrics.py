@@ -84,10 +84,14 @@ class ServiceMetrics:
     def queue_drained_to(self, depth: int) -> None:
         self._queue.set(depth)
 
-    def chunk_dispatched(self, n_entries: int, chunk_gens: int) -> None:
+    def chunk_dispatched(self, n_entries: int) -> None:
         self._chunks.inc()
         self._occupancy_sum.inc(n_entries / self.max_batch)
         self._occupancy.set(n_entries)
+
+    def chunk_completed(self, n_entries: int, chunk_gens: int) -> None:
+        """A chunk landed: its generations count as executed (a lost and
+        retried chunk counts once, when it finally lands)."""
         self._generations.inc(n_entries * chunk_gens)
 
     def job_completed(self, latency_s: float, wait_s: float) -> None:

@@ -3,13 +3,15 @@
 One scheduler thread owns the pending queue and the set of in-flight
 slabs.  Its loop is event-driven: it sleeps on a condition variable and
 wakes on submission, chunk completion, shutdown, or the earliest of the
-timed events it tracks — the oldest pending job's ``max_wait_s`` batching
-window, a parked slab's retry-backoff expiry, an in-flight chunk's
-watchdog deadline, or an enforce-mode job's deadline — then seals every
-*ready* group of compatible jobs into a :class:`~repro.service.batcher.Slab`
-and dispatches its first chunk to the worker pool.  A group is ready when
-it is full (``max_batch``), aged (``max_wait_s``), hardened (nothing to
-wait for — it cannot batch), or the service is draining.
+timed events it tracks — a parked slab's retry-backoff expiry, an
+in-flight chunk's watchdog deadline, or an enforce-mode job's deadline.
+Dispatch is *work-conserving*: while a worker slot is free, the loop
+seals the group of compatible jobs that owns the best-ordered pending job
+(at most ``max_batch`` of them) into a
+:class:`~repro.service.batcher.Slab` and sends its first chunk to the
+worker pool.  No partial group waits for company; jobs that arrive while
+every slot is busy are admitted into a running slab at its next chunk
+boundary instead.
 
 Chunk completions are folded back in from the pool's callback thread:
 finished jobs retire and fulfil their handles, compatible pending jobs are
@@ -34,8 +36,7 @@ Fault tolerance (``docs/architecture.md`` has the full story):
   itself are *not* retried — re-execution is deterministic, so they
   would simply recur — and fail the slab immediately, as before.
 * **Checkpointed resume** — with a spill store attached, every slab's
-  carried state is checkpointed at dispatch (every
-  ``checkpoint_every_chunks`` chunk boundaries) and discarded at
+  carried state is checkpointed at every dispatch and discarded at
   retirement; :meth:`Scheduler.resume_spilled` reloads whatever a
   crashed process left behind and re-dispatches it from the last
   boundary instead of generation 0.
@@ -299,18 +300,14 @@ class Scheduler:
             self._closing = True
             self._draining = drain
             if not drain:
-                for records in self._pending.values():
-                    for record in records:
+                for key in list(self._pending):
+                    for record in self._take_pending(key, len(self._pending[key])):
                         self._fail_record(
                             record,
                             JobCancelledError(
                                 f"job {record.job_id} cancelled by shutdown"
                             ),
                         )
-                self._pending.clear()
-                self._pending_count = 0
-                self._pending_gens = 0
-                self.metrics.queue_drained_to(0)
                 for _, slab in self._parked:
                     self._cancel_slab(slab, "cancelled by shutdown")
                     self._retire_slab(slab)
@@ -329,8 +326,8 @@ class Scheduler:
         with self._cond:
             self._abandoned = True
             leftovers: list[JobRecord] = []
-            for records in self._pending.values():
-                leftovers.extend(records)
+            for key in list(self._pending):
+                leftovers.extend(self._take_pending(key, len(self._pending[key])))
             for entry in self._inflight.values():
                 leftovers.extend(entry["slab"].entries)
             for _, slab in self._parked:
@@ -356,9 +353,6 @@ class Scheduler:
                     self.metrics.job_failed()
             self._followers.clear()
             self._active_keys.clear()
-            self._pending.clear()
-            self._pending_count = 0
-            self._pending_gens = 0
             self._parked = []
             self._inflight.clear()
             self._cond.notify_all()
@@ -374,7 +368,8 @@ class Scheduler:
                 f"queue depth {self._pending_count} >= shed bound "
                 f"{self.policy.shed_queue_depth}"
             )
-        if self.policy.max_backlog_s is not None and self.metrics.chunks > 0:
+        if self.policy.max_backlog_s is not None:
+            # no rate (and no estimate) before the first chunk completes
             rate = self.metrics.generations_rate()
             if rate > 0:
                 backlog = self._pending_gens / rate
@@ -395,14 +390,7 @@ class Scheduler:
 
     def _shed_pending(self, victim: JobRecord, reason: str) -> None:
         """Fail a queued job to make room for a better-ordered arrival."""
-        key = compat_key(victim)
-        records = self._pending[key]
-        records.remove(victim)
-        if not records:
-            del self._pending[key]
-        self._pending_count -= 1
-        self._pending_gens -= victim.remaining
-        self.metrics.queue_drained_to(self._pending_count)
+        self._drop_pending(victim)
         self._fail_record(
             victim, OverloadedError(f"job {victim.job_id} shed: {reason}")
         )
@@ -413,16 +401,11 @@ class Scheduler:
         """Handle-side cancel: drop a pending job now, flag an in-flight
         or parked one for eviction at its next chunk boundary."""
         with self._cond:
-            for key, records in self._pending.items():
+            for records in self._pending.values():
                 for record in records:
                     if record.job_id != job_id:
                         continue
-                    records.remove(record)
-                    if not records:
-                        del self._pending[key]
-                    self._pending_count -= 1
-                    self._pending_gens -= record.remaining
-                    self.metrics.queue_drained_to(self._pending_count)
+                    self._drop_pending(record)
                     self._fail_record(
                         record, JobCancelledError(f"job {job_id} cancelled")
                     )
@@ -450,7 +433,7 @@ class Scheduler:
                 self._fail_hung_chunks(now)
                 self._expire_pending(now)
                 self._unpark(now)
-                self._dispatch_ready(now)
+                self._dispatch_ready()
                 if self._abandoned:
                     break
                 if (
@@ -465,14 +448,6 @@ class Scheduler:
     def _wait_timeout(self, now: float) -> float | None:
         """Sleep until the earliest timed event the loop must act on."""
         deadlines: list[float] = []
-        if self._pending and self._slots_free > 0:
-            deadlines.append(
-                min(
-                    min(r.submitted_at for r in records) + self.policy.max_wait_s
-                    for records in self._pending.values()
-                    if records
-                )
-            )
         for records in self._pending.values():
             for record in records:
                 if record.request.deadline_mode == "enforce":
@@ -486,39 +461,19 @@ class Scheduler:
             return None
         return max(min(deadlines) - now, 1e-4)
 
-    def _group_ready(self, key: tuple, records: list[JobRecord], now: float) -> bool:
-        if self._closing:
-            return True
-        if key[0] in ("hardened", "island", "substrate"):
-            return True  # solo by construction; waiting buys nothing
-        if len(records) >= self.policy.max_batch:
-            return True
-        oldest = min(r.submitted_at for r in records)
-        return now - oldest >= self.policy.max_wait_s
-
-    def _dispatch_ready(self, now: float) -> None:
-        """Seal and dispatch ready groups while worker slots are free."""
-        while self._slots_free > 0:
-            ready = [
-                key
-                for key, records in self._pending.items()
-                if records and self._group_ready(key, records, now)
-            ]
-            if not ready:
-                return
-            # most urgent group first: the one owning the best-ordered job
+    def _dispatch_ready(self) -> None:
+        """Work-conserving dispatch (lock held): while a worker slot is
+        free, seal the group owning the best-ordered pending job and send
+        it.  A partial group never waits for company — jobs arriving
+        later join a running slab at its next chunk boundary."""
+        while self._slots_free > 0 and self._pending:
             key = min(
-                ready, key=lambda k: min(r.order_key() for r in self._pending[k])
+                self._pending,
+                key=lambda k: min(r.order_key() for r in self._pending[k]),
             )
-            records = sorted(self._pending[key], key=JobRecord.order_key)
-            taken = records[: self.policy.max_batch]
-            self._pending[key] = records[len(taken):]
-            if not self._pending[key]:
-                del self._pending[key]
-            self._pending_count -= len(taken)
-            self._pending_gens -= sum(r.remaining for r in taken)
-            self.metrics.queue_drained_to(self._pending_count)
-            self._dispatch(Slab(taken, self.policy))
+            self._dispatch(
+                Slab(self._take_pending(key, self.policy.max_batch), self.policy)
+            )
 
     def _dispatch(self, slab: Slab) -> None:
         """Send the slab's next chunk to the pool (lock held)."""
@@ -528,10 +483,7 @@ class Scheduler:
         for record in slab.entries:
             if record.started_at is None:
                 record.started_at = now
-        if (
-            self.store is not None
-            and slab.chunks_done % self.policy.checkpoint_every_chunks == 0
-        ):
+        if self.store is not None:
             self.store.save(slab.slab_id, slab.checkpoint_payload())
             self.metrics.slab_checkpointed()
         deadline = (
@@ -547,7 +499,7 @@ class Scheduler:
             "deadline": deadline,
             "pool_gen": self.pool.generation,
         }
-        self.metrics.chunk_dispatched(len(slab), chunk)
+        self.metrics.chunk_dispatched(len(slab))
         spec = slab.make_spec(chunk)
         self.pool.submit_chunk(
             spec,
@@ -593,33 +545,23 @@ class Scheduler:
 
     def _expire_pending(self, now: float) -> None:
         """Fail enforce-mode jobs that blew their deadline while queued."""
-        changed = False
-        for key in list(self._pending):
-            keep = []
-            for record in self._pending[key]:
-                if (
-                    record.request.deadline_mode == "enforce"
-                    and now > record.deadline_at
-                ):
-                    self._pending_count -= 1
-                    self._pending_gens -= record.remaining
-                    self._fail_record(
-                        record,
-                        DeadlineExceededError(
-                            f"job {record.job_id} blew its "
-                            f"{record.request.deadline_s}s deadline in queue"
-                        ),
-                    )
-                    self.metrics.job_deadline_enforced()
-                    changed = True
-                else:
-                    keep.append(record)
-            if keep:
-                self._pending[key] = keep
-            else:
-                del self._pending[key]
-        if changed:
-            self.metrics.queue_drained_to(self._pending_count)
+        expired = [
+            record
+            for records in self._pending.values()
+            for record in records
+            if record.request.deadline_mode == "enforce"
+            and now > record.deadline_at
+        ]
+        for record in expired:
+            self._drop_pending(record)
+            self._fail_record(
+                record,
+                DeadlineExceededError(
+                    f"job {record.job_id} blew its "
+                    f"{record.request.deadline_s}s deadline in queue"
+                ),
+            )
+            self.metrics.job_deadline_enforced()
 
     def _unpark(self, now: float) -> None:
         """Re-dispatch parked slabs whose backoff has expired."""
@@ -662,6 +604,7 @@ class Scheduler:
                     self._fail_slab(slab, out)
                 self._cond.notify_all()
                 return
+            self.metrics.chunk_completed(len(slab), entry["chunk"])
             finished = slab.apply_chunk(out, entry["chunk"])
             if slab.failed_at is not None:
                 self.metrics.chunk_recovered(now - slab.failed_at)
@@ -865,21 +808,27 @@ class Scheduler:
     def _admit_into(self, slab: Slab) -> None:
         """Continuous batching: pull compatible pending jobs into freed
         replica rows at the chunk boundary (lock held)."""
-        capacity = slab.capacity_left
-        if capacity <= 0 or slab.solo:
-            return
-        # key must mirror compat_key exactly: a mismatch silently stops
-        # late admission into running slabs
-        key = ("batch", slab.pop)
-        records = self._pending.get(key)
-        if not records:
-            return
-        records.sort(key=JobRecord.order_key)
-        taken = records[:capacity]
-        self._pending[key] = records[len(taken):]
-        if not self._pending[key]:
-            del self._pending[key]
+        if slab.capacity_left > 0 and slab.key in self._pending:
+            slab.admit(self._take_pending(slab.key, slab.capacity_left))
+
+    # -- the pending queue (lock held) -------------------------------------
+    def _take_pending(self, key: tuple, n: int) -> list[JobRecord]:
+        """Remove and return the ``n`` best-ordered jobs of one group."""
+        records = sorted(self._pending.pop(key), key=JobRecord.order_key)
+        taken, rest = records[:n], records[n:]
+        if rest:
+            self._pending[key] = rest
         self._pending_count -= len(taken)
         self._pending_gens -= sum(r.remaining for r in taken)
         self.metrics.queue_drained_to(self._pending_count)
-        slab.admit(taken)
+        return taken
+
+    def _drop_pending(self, record: JobRecord) -> None:
+        """Remove one queued job (cancel, shed, deadline expiry)."""
+        key = compat_key(record)
+        self._pending[key].remove(record)
+        if not self._pending[key]:
+            del self._pending[key]
+        self._pending_count -= 1
+        self._pending_gens -= record.remaining
+        self.metrics.queue_drained_to(self._pending_count)

@@ -63,7 +63,7 @@ def test_differential_conformance_across_engines_and_service():
         GARequest(params=PARAMS.with_(rng_seed=s), fitness_name=FN.name)
         for s in (0x2961, 45890)
     ]
-    policy = BatchPolicy(max_batch=4, max_wait_s=0.005, admit_interval=8)
+    policy = BatchPolicy(max_batch=4, admit_interval=8)
     with use_tracer(service_tracer):
         with GAService(workers=2, mode="thread", policy=policy) as service:
             results = service.run_all([request] + decoys, timeout=60)
@@ -87,7 +87,7 @@ def test_differential_conformance_across_engines_and_service():
 def test_service_chunk_spans_name_their_jobs():
     tracer = Tracer()
     request = GARequest(params=PARAMS.with_(n_generations=12), fitness_name=FN.name)
-    policy = BatchPolicy(max_batch=2, max_wait_s=0.005, admit_interval=6)
+    policy = BatchPolicy(max_batch=2, admit_interval=6)
     with use_tracer(tracer):
         with GAService(workers=1, mode="thread", policy=policy) as service:
             (result,) = service.run_all([request], timeout=60)

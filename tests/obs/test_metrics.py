@@ -192,7 +192,7 @@ def test_slab_chunk_profile_recorded_from_worker_pool_threads():
         )
         for seed in (45890, 10593, 1567, 777)
     ]
-    policy = BatchPolicy(max_batch=2, max_wait_s=0.005, admit_interval=6)
+    policy = BatchPolicy(max_batch=2, admit_interval=6)
     with GAService(workers=3, mode="thread", policy=policy) as service:
         service.run_all(jobs, timeout=60)
         chunks = service.metrics.chunks
@@ -224,8 +224,11 @@ def test_service_metrics_public_surface_matches_recorded_activity():
     metrics.job_submitted(depth=3)
     metrics.job_submitted(depth=5)
     metrics.job_rejected()
-    metrics.chunk_dispatched(n_entries=4, chunk_gens=16)
-    metrics.chunk_dispatched(n_entries=8, chunk_gens=16)
+    metrics.chunk_dispatched(n_entries=4)
+    metrics.chunk_dispatched(n_entries=8)
+    assert metrics.generations_executed == 0  # counted when chunks land
+    metrics.chunk_completed(n_entries=4, chunk_gens=16)
+    metrics.chunk_completed(n_entries=8, chunk_gens=16)
     metrics.queue_drained_to(1)
     metrics.job_completed(latency_s=0.2, wait_s=0.1)
     metrics.job_failed()

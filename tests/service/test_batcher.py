@@ -36,7 +36,7 @@ class TestBatchPolicy:
         "kw",
         [
             {"max_batch": 0},
-            {"max_wait_s": -1.0},
+            {"chunk_timeout_s": 0.0},
             {"admit_interval": 0},
             {"max_pending": 0},
         ],
@@ -58,11 +58,16 @@ class TestCompatKey:
         b = record(1, params=params(population_size=16))
         assert compat_key(a) != compat_key(b)
 
-    def test_hardened_jobs_never_share_a_key(self):
-        a = record(0, protection="hardened")
-        b = record(1, protection="hardened")
+    @pytest.mark.parametrize(
+        "solo_kw",
+        [{"protection": "hardened"}, {"n_islands": 4}, {"substrate": "cycle"}],
+        ids=["protection", "islands", "substrate"],
+    )
+    def test_solo_jobs_never_share_a_key(self, solo_kw):
+        a = record(0, **solo_kw)
+        b = record(1, **solo_kw)
         assert compat_key(a) != compat_key(b)
-        assert compat_key(a)[0] == "hardened"
+        assert compat_key(a)[0] == compat_key(b)[0] == "solo"
 
 
 class TestSlab:

@@ -87,7 +87,6 @@ def outcome(result):
 
 
 def chaotic_outcomes(jobs, chaos, workers=2, mode="thread", **policy_kw):
-    policy_kw.setdefault("max_wait_s", 0.01)
     policy_kw.setdefault("admit_interval", 4)
     with GAService(
         workers=workers, mode=mode, policy=BatchPolicy(**policy_kw),
@@ -138,10 +137,29 @@ class TestWorkerKills:
         assert faults["recovery_p95_ms"] >= 0
 
     def test_seeded_kill_plan_recovers_bit_identically(self):
-        chaos = ChaosMonkey(ChaosPlan.from_seed(1234, kill_rate=0.25))
-        outcomes, faults = chaotic_outcomes(JOBS, chaos, workers=2)
+        # which slab absorbs each planned kill depends on thread timing,
+        # so one slab can meet every kill in a row: give each job a retry
+        # budget deeper than the plan's kill count (exhaustion is
+        # test_retry_budget_exhaustion_fails_the_job's subject)
+        plan = ChaosPlan.from_seed(1234, kill_rate=0.25)
+        deep = replace(FAST_RETRY, max_attempts=len(plan.kill_chunks) + 1)
+        chaos = ChaosMonkey(plan)
+        outcomes, faults = chaotic_outcomes(
+            [replace(request, retry=deep) for request in JOBS],
+            chaos, workers=2,
+        )
         assert outcomes == BASELINE
-        assert faults["chunk_retries"] >= 1
+        # a thread-mode kill loses only its own chunk: one retry per kill
+        assert chaos.kills >= 1
+        assert faults["chunk_retries"] == chaos.kills
+
+    def test_retried_chunk_counts_its_generations_once(self):
+        chaos = ChaosMonkey(ChaosPlan(kill_chunks=(0,)))
+        request = replace(JOBS[0], params=JOBS[0].params.with_(n_generations=8))
+        with GAService(workers=1, mode="thread", chaos=chaos) as service:
+            service.submit(request).result(timeout=30)
+            assert service.metrics.retries == 1
+            assert service.metrics.generations_executed == 8
 
     def test_process_mode_kill_respawns_pool(self):
         chaos = ChaosMonkey(ChaosPlan(kill_chunks=(1,)))
@@ -163,10 +181,7 @@ class TestWorkerKills:
         request = GARequest(
             params=JOBS[0].params, retry=RetryPolicy(max_attempts=1)
         )
-        with GAService(
-            workers=1, mode="thread",
-            policy=BatchPolicy(max_wait_s=0.005), chaos=chaos,
-        ) as service:
+        with GAService(workers=1, mode="thread", chaos=chaos) as service:
             handle = service.submit(request)
             with pytest.raises(JobFailedError, match="after 1 attempts"):
                 handle.result(timeout=30)
@@ -195,9 +210,7 @@ class TestMidSlabRestart:
         # the dir mid-flight (a crashed process leaves exactly this), then
         # have service 2 resume the copy and finish the interrupted jobs
         spill1, spill2 = tmp_path / "live", tmp_path / "crashed"
-        policy = BatchPolicy(
-            max_wait_s=0.005, admit_interval=4, checkpoint_every_chunks=1
-        )
+        policy = BatchPolicy(admit_interval=4)
         with GAService(
             workers=1, mode="thread", policy=policy, spill_dir=spill1
         ) as service:
@@ -239,7 +252,7 @@ class TestMidSlabRestart:
     def test_spill_dir_empties_after_clean_drain(self, tmp_path):
         with GAService(
             workers=1, mode="thread",
-            policy=BatchPolicy(max_wait_s=0.005, admit_interval=4),
+            policy=BatchPolicy(admit_interval=4),
             spill_dir=tmp_path,
         ) as service:
             service.run_all(JOBS[:2], timeout=60)

@@ -61,7 +61,6 @@ BASELINE = {request.params.rng_seed: solo_outcome(request) for request in JOBS}
 
 
 def service_outcomes(jobs, workers, mode="thread", **policy_kw):
-    policy_kw.setdefault("max_wait_s", 0.01)
     with GAService(
         workers=workers, mode=mode, policy=BatchPolicy(**policy_kw)
     ) as service:
@@ -104,7 +103,7 @@ def test_results_bit_identical_across_schedules(label, workers, policy_kw, order
 def test_staggered_arrivals_join_running_slabs_bit_identically():
     # submit half the jobs, wait until the first chunks are in flight,
     # then submit the rest — late admission must not change any result
-    policy = BatchPolicy(max_batch=8, max_wait_s=0.005, admit_interval=4)
+    policy = BatchPolicy(max_batch=8, admit_interval=4)
     with GAService(workers=2, mode="thread", policy=policy) as service:
         first = [service.submit(request) for request in JOBS[:4]]
         deadline = time.monotonic() + 10

@@ -75,7 +75,7 @@ def test_soak_200_jobs_process_pool_stays_deterministic():
         )
 
     policy = BatchPolicy(
-        max_batch=16, max_wait_s=0.005, admit_interval=8, max_pending=N_JOBS
+        max_batch=16, admit_interval=8, max_pending=N_JOBS
     )
     with GAService(workers=3, mode="process", policy=policy) as service:
         results = service.run_all(jobs, timeout=600)
