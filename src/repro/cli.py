@@ -132,19 +132,11 @@ def _run_params(args):
     )
 
 
-def _run_cached(args) -> None:
+def _run_cached(args, request) -> None:
     """``repro run --store-dir``: serve from / populate the run store."""
     from repro import fitness_by_name
-    from repro.service.jobs import GARequest
     from repro.store import RunStore, run_cached
 
-    request = GARequest(
-        params=_run_params(args),
-        fitness_name=args.fitness,
-        n_islands=args.islands,
-        migration_interval=args.migration_interval,
-        topology=args.topology,
-    )
     store = RunStore(args.store_dir)
     result, hit, key = run_cached(store, request, use_cache=not args.no_cache)
     fn = fitness_by_name(args.fitness)
@@ -159,38 +151,37 @@ def cmd_run(args) -> None:
     from repro import BehavioralGA, GASystem, fitness_by_name
     from repro.analysis.convergence import convergence_generation
     from repro.obs import Tracer
+    from repro.service.jobs import GARequest
 
+    # the request is the one legality check, whichever engine runs it
+    request = GARequest(
+        params=_run_params(args),
+        fitness_name=args.fitness,
+        n_islands=args.islands,
+        migration_interval=args.migration_interval,
+        topology=args.topology,
+        substrate="cycle" if args.cycle_accurate else "behavioral",
+    )
     if getattr(args, "store_dir", ""):
-        if args.cycle_accurate:
-            raise SystemExit(
-                "--store-dir caches behavioural-engine jobs; it cannot be "
-                "combined with --cycle-accurate"
-            )
         if getattr(args, "trace_out", ""):
             raise SystemExit(
                 "--store-dir replays stored results, which have no trace; "
                 "drop --trace-out for cached runs"
             )
-        _run_cached(args)
+        _run_cached(args, request)
         return
-    params = _run_params(args)
+    params = request.params
     fn = fitness_by_name(args.fitness)
     tracer = None
     if getattr(args, "trace_out", ""):
         tracer = Tracer(args.trace_out, keep_records=False)
-    islands = getattr(args, "islands", 1)
-    if islands > 1 and args.cycle_accurate:
-        raise SystemExit(
-            "--islands runs the vectorized archipelago on the behavioural "
-            "engines; it cannot be combined with --cycle-accurate"
-        )
     try:
-        if islands > 1:
+        if args.islands > 1:
             from repro.parallel import VectorIslandGA
 
             result = VectorIslandGA(
                 params, fn,
-                n_islands=islands,
+                n_islands=args.islands,
                 migration_interval=args.migration_interval,
                 topology=args.topology,
                 tracer=tracer,
@@ -198,7 +189,7 @@ def cmd_run(args) -> None:
             print(
                 f"{fn.name}: best {result.best_fitness} at "
                 f"{result.best_individual} (optimum {int(fn.table().max())}), "
-                f"{islands} islands/{args.topology}, "
+                f"{args.islands} islands/{args.topology}, "
                 f"{result.migrations} migrations, "
                 f"{result.evaluations} evaluations"
             )

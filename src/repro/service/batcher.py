@@ -97,9 +97,14 @@ def compat_key(record: "JobRecord") -> tuple:
     return ("batch", request.params.population_size)
 
 
-@dataclass
+@dataclass(eq=False)
 class JobRecord:
-    """Scheduler-side state of one job across its slab chunks."""
+    """Scheduler-side state of one job across its slab chunks.
+
+    Records compare and hash by identity: a ``job_id`` is a reporting
+    label (a resumed job keeps the one it was first given), so the
+    scheduler tracks jobs by the record, never by id.
+    """
 
     job_id: int
     request: GARequest
@@ -121,8 +126,10 @@ class JobRecord:
     #: consecutive failed executions of the current chunk (reset on every
     #: chunk that completes); bounded by ``request.retry.max_attempts``
     attempts: int = 0
-    #: cooperative-cancellation flag: honoured at the next chunk boundary
-    cancel_requested: bool = False
+    #: why the job is to be evicted (its handle's cancel, or a
+    #: non-draining shutdown); honoured at the next queue sweep or chunk
+    #: boundary
+    cancel_reason: str | None = None
     #: canonical run-store key (set at admission when a store is attached;
     #: the write-back address and the in-flight coalescing handle)
     store_key: str | None = None
@@ -185,6 +192,17 @@ class Slab:
         #: monotonic time of the first unrecovered chunk failure, for the
         #: recovery-latency histogram; cleared on the next success
         self.failed_at: float | None = None
+        #: dispatch token of the chunk at the pool; ``None`` while the slab
+        #: is parked (retry backoff, or resumed and not yet re-sent)
+        self.token: int | None = None
+        #: generations in the chunk at the pool
+        self.chunk = 0
+        #: the pool generation the chunk was sent under
+        self.pool_gen = 0
+        #: when the scheduler must next act on the slab: the watchdog
+        #: deadline while in flight (``None`` without a watchdog), the
+        #: backoff expiry while parked
+        self.wake_at: float | None = 0.0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -259,16 +277,21 @@ class Slab:
     def apply_chunk(self, out: dict, chunk_gens: int) -> list[JobRecord]:
         """Fold a worker's chunk result back into the records.
 
-        Returns the records that finished with this chunk (and removes
-        them from the slab).  Trace splicing: a resumed chunk's local
-        generation 0 restates the previous chunk's final generation, so it
-        is dropped before concatenation — the spliced trace is then
-        bit-identical to one uninterrupted run's.
+        Output entries pair with the spec's by position (a slab's entries
+        do not change while its chunk is out), and each must carry its
+        record's ``job_id``.  Returns the records that finished with this
+        chunk (and removes them from the slab).  Trace splicing: a resumed
+        chunk's local generation 0 restates the previous chunk's final
+        generation, so it is dropped before concatenation — the spliced
+        trace is then bit-identical to one uninterrupted run's.
         """
-        by_id = {r.job_id: r for r in self.entries}
         finished: list[JobRecord] = []
-        for entry_out in out["entries"]:
-            record = by_id[entry_out["job_id"]]
+        for record, entry_out in zip(self.entries, out["entries"], strict=True):
+            if entry_out["job_id"] != record.job_id:
+                raise ValueError(
+                    f"chunk output for job {entry_out['job_id']} paired "
+                    f"with job {record.job_id}"
+                )
             rows = entry_out["stats"]
             if record.chunks > 0:
                 rows = rows[1:]
@@ -329,11 +352,13 @@ class Slab:
 def restore_records(payload: dict, seq_source, now: float) -> list[JobRecord]:
     """Rebuild a spilled slab's :class:`JobRecord` list with fresh handles.
 
-    ``seq_source`` is the scheduler's sequence counter (resumed jobs get
-    new queue positions but keep their original ``job_id`` for
-    reporting); ``now`` becomes the records' submission time, so latency
-    accounting restarts at resume — wall-clock spent crashed is not
-    attributed to the service.
+    ``seq_source`` is the scheduler's sequence counter: resumed jobs get
+    new queue positions but keep their original ``job_id`` for reporting,
+    so the resuming scheduler must then move its counter past every
+    restored id (:meth:`~repro.service.scheduler.Scheduler.resume_spilled`
+    does) or a fresh submission could reuse one.  ``now`` becomes the
+    records' submission time, so latency accounting restarts at resume —
+    wall-clock spent crashed is not attributed to the service.
     """
     from repro.resilience.harden import decode_checkpoint
 

@@ -3,10 +3,10 @@
 Between chunks, a job's whole evolution state is the carried
 ``(population, rng_state)`` pair plus splicing bookkeeping — exactly the
 rollback checkpoint tuple of :mod:`repro.resilience.harden`, generalized
-to one checkpoint per slab entry.  The scheduler serializes every
-in-flight slab through :func:`repro.resilience.harden.encode_checkpoint`
-into this store every N chunks, and discards the file when the slab
-retires; after a crash, ``Scheduler.resume_spilled()`` (surfaced as
+to one checkpoint per slab entry.  The scheduler serializes a slab
+through :func:`repro.resilience.harden.encode_checkpoint` into this store
+each time it dispatches one of the slab's chunks, and discards the file
+when the slab retires; after a crash, ``Scheduler.resume_spilled()`` (surfaced as
 ``repro serve --resume``) reloads each spilled slab and re-dispatches it
 from its last checkpoint — results stay bit-identical to an uninterrupted
 run because chunk boundaries are generation boundaries.
@@ -69,8 +69,8 @@ class CheckpointStore:
         """Read and remove every spilled payload (crash-recovery sweep).
 
         The claim deletes the source file immediately: the resuming
-        scheduler re-checkpoints at its own cadence under fresh file
-        names, so a stale copy must not be replayed twice.  Unreadable
+        scheduler checkpoints each resumed slab again at once, under a
+        fresh file name, so a stale copy must not be replayed twice.  Unreadable
         or version-mismatched files are skipped with a warning.
         """
         payloads = []

@@ -111,7 +111,7 @@ class ServiceMetrics:
     def job_deadline_enforced(self) -> None:
         self._deadline_enforced.inc()
 
-    def chunk_retried(self, n_jobs: int) -> None:
+    def chunk_retried(self) -> None:
         self._retries.inc()
 
     def chunk_timed_out(self) -> None:

@@ -1,26 +1,35 @@
-"""The async job scheduler: bounded queue, slab formation, dispatch.
+"""The async job scheduler: bounded queue, slab table, dispatch.
 
-One scheduler thread owns the pending queue and the set of in-flight
-slabs.  Its loop is event-driven: it sleeps on a condition variable and
-wakes on submission, chunk completion, shutdown, or the earliest of the
-timed events it tracks — a parked slab's retry-backoff expiry, an
-in-flight chunk's watchdog deadline, or an enforce-mode job's deadline.
-Dispatch is *work-conserving*: while a worker slot is free, the loop
-seals the group of compatible jobs that owns the best-ordered pending job
-(at most ``max_batch`` of them) into a
-:class:`~repro.service.batcher.Slab` and sends its first chunk to the
-worker pool.  No partial group waits for company; jobs that arrive while
-every slot is busy are admitted into a running slab at its next chunk
-boundary instead.
+The scheduler is a state machine over two structures guarded by one
+condition variable: the pending queue (jobs grouped by compat key) and the
+slab table, which holds every live :class:`~repro.service.batcher.Slab`.
+A slab is *in flight* while its ``token`` names a chunk at the worker pool
+and *parked* otherwise (waiting out a retry backoff, or resumed and not
+yet re-sent); its ``wake_at`` is the watchdog deadline in the first state
+and the backoff expiry in the second.  Jobs are tracked by their
+:class:`~repro.service.batcher.JobRecord` object, never by ``job_id``.
+
+One scheduler thread runs :meth:`Scheduler._step` whenever it wakes — on
+submission, cancel, chunk completion, shutdown, or the earliest timed
+event (a slab's wake time or an enforce-mode job's deadline).  A step
+treats overdue chunks as lost, sweeps the queue and the parked slabs, and
+gives every free worker slot work: first parked slabs whose backoff is
+over, then the group of compatible jobs that owns the best-ordered pending
+job (at most ``max_batch`` of them), sealed into a new slab.  Dispatch is
+*work-conserving*: no partial group waits for company; jobs that arrive
+while every slot is busy are admitted into a running slab at its next
+chunk boundary instead.
 
 Chunk completions are folded back in from the pool's callback thread:
-finished jobs retire and fulfil their handles, compatible pending jobs are
-admitted into the freed replica rows, and a non-empty slab re-dispatches
-immediately so workers never idle while work exists.  Because each job's
-evolution depends only on its own seed, parameters, and carried state,
-*no scheduling decision can change a job's numbers* — arrival order,
-batch width, chunk boundaries, and worker count only move wall-clock time
-(property-tested in ``tests/service/test_determinism.py``).
+finished jobs retire and fulfil their handles, evicted jobs fail,
+compatible pending jobs are admitted into the freed replica rows, and a
+non-empty slab re-dispatches immediately so workers never idle while work
+exists.  Because each job's evolution depends only on its own seed,
+parameters, and carried state, *no scheduling decision can change a job's
+numbers* — arrival order, batch width, chunk boundaries, and worker count
+only move wall-clock time (property-tested in
+``tests/service/test_determinism.py``; the transitions themselves are
+driven by a state machine in ``tests/service/test_scheduler_machine.py``).
 
 Fault tolerance (``docs/architecture.md`` has the full story):
 
@@ -34,7 +43,7 @@ Fault tolerance (``docs/architecture.md`` has the full story):
   crash's cascade of broken futures triggers exactly one respawn), and
   the chunk re-dispatches.  Application exceptions raised by the job
   itself are *not* retried — re-execution is deterministic, so they
-  would simply recur — and fail the slab immediately, as before.
+  would simply recur — and fail the slab immediately.
 * **Checkpointed resume** — with a spill store attached, every slab's
   carried state is checkpointed at every dispatch and discarded at
   retirement; :meth:`Scheduler.resume_spilled` reloads whatever a
@@ -45,20 +54,20 @@ Fault tolerance (``docs/architecture.md`` has the full story):
   worst-ordered job (the incoming one, or a pending victim it beats)
   fails fast with :class:`~repro.service.jobs.OverloadedError` instead
   of joining a queue the service cannot drain in time.
-* **Deadline enforcement** — ``deadline_mode="enforce"`` jobs are
-  cancelled with :class:`~repro.service.jobs.DeadlineExceededError` at
-  the first chunk boundary (or queue scan) past their deadline, instead
-  of merely reporting the miss.
+* **Eviction** — a handle's ``cancel()``, a non-draining shutdown and a
+  blown ``deadline_mode="enforce"`` deadline take one path: a queued or
+  parked job fails at the next sweep, an in-flight one at its chunk's
+  boundary, with :class:`~repro.service.jobs.JobCancelledError` or
+  :class:`~repro.service.jobs.DeadlineExceededError`.
 
 Backpressure is explicit: ``submit`` raises
 :class:`~repro.service.jobs.QueueFullError` once ``max_pending`` jobs
 wait, and :class:`~repro.service.jobs.ServiceClosedError` after shutdown
 begins.  Shutdown drains by default (every accepted job completes);
-``drain=False`` cancels pending jobs and fails in-flight ones at their
-next chunk boundary; a ``timeout`` that expires with the scheduler
-thread still alive abandons the backlog, failing every remaining handle
-with :class:`~repro.service.jobs.ShutdownTimeoutError` so no client
-blocks forever.
+``drain=False`` evicts every job; a ``timeout`` that expires with the
+scheduler thread still alive abandons the backlog, failing every
+remaining handle with :class:`~repro.service.jobs.ShutdownTimeoutError`
+so no client blocks forever.
 """
 
 from __future__ import annotations
@@ -129,9 +138,9 @@ class Scheduler:
         #: ``False`` disables lookups and coalescing but keeps write-back,
         #: so a no-cache server still populates the store it is given
         self.cache = cache
-        #: store key -> primary job_id for every keyed job currently
-        #: pending, parked, or in flight (the coalescing target map)
-        self._active_keys: dict[str, int] = {}
+        #: store key -> the primary record of every keyed job currently
+        #: pending or in a slab (the coalescing target map)
+        self._active_keys: dict[str, JobRecord] = {}
         #: store key -> handles of duplicate submissions riding the
         #: primary computation (fulfilled/failed when the primary is)
         self._followers: dict[str, list[JobHandle]] = {}
@@ -141,21 +150,14 @@ class Scheduler:
         #: sum of pending jobs' remaining generations — the backlog-time
         #: estimator's numerator, maintained incrementally
         self._pending_gens = 0
-        #: slab_id -> {"slab", "chunk", "token", "at", "deadline",
-        #: "pool_gen"} for every chunk currently at the pool
-        self._inflight: dict[int, dict] = {}
-        #: (ready_at, slab) pairs waiting out a retry backoff (or a resume)
-        self._parked: list[tuple[float, Slab]] = []
+        #: slab_id -> every live slab, in flight or parked
+        self._slabs: dict[int, Slab] = {}
         #: thread-mode hung chunks: their worker thread is still occupied,
         #: so each zombie token subtracts a slot until its callback lands
         self._zombies: set[int] = set()
-        #: process-mode tokens whose pool was respawned; their eventual
-        #: callbacks are stale and must be discarded
-        self._dead_tokens: set[int] = set()
         self._tokens = itertools.count()
         self._seq = itertools.count()
         self._closing = False
-        self._draining = True
         self._abandoned = False
         self._started = False
         self._thread = threading.Thread(
@@ -165,7 +167,8 @@ class Scheduler:
     @property
     def _slots_free(self) -> int:
         """Worker slots not held by an in-flight chunk or a zombie."""
-        return self.pool.n_workers - len(self._inflight) - len(self._zombies)
+        busy = sum(slab.token is not None for slab in self._slabs.values())
+        return self.pool.n_workers - busy - len(self._zombies)
 
     # -- client API -----------------------------------------------------
     def start(self) -> "Scheduler":
@@ -207,11 +210,12 @@ class Scheduler:
                         self.metrics.job_submitted(self._pending_count)
                         self.metrics.job_completed(0.0, 0.0)
                         return handle
-                    if key in self._active_keys:
+                    primary = self._active_keys.get(key)
+                    if primary is not None and primary.cancel_reason is None:
                         seq = next(self._seq)
                         handle = JobHandle(seq, request, now)
                         handle._canceller = (
-                            lambda job_id, k=key, h=handle:
+                            lambda _job_id, k=key, h=handle:
                             self._cancel_follower(k, h)
                         )
                         self._followers.setdefault(key, []).append(handle)
@@ -225,12 +229,11 @@ class Scheduler:
                     f"pending queue at bound ({self.policy.max_pending})"
                 )
             seq = next(self._seq)
-            handle = JobHandle(seq, request, now)
             record = JobRecord(
-                job_id=seq, request=request, handle=handle,
+                job_id=seq, request=request,
+                handle=JobHandle(seq, request, now),
                 submitted_at=now, seq=seq, store_key=key,
             )
-            handle._canceller = self._request_cancel
             reason = self._overload_reason()
             if reason is not None:
                 victim = self._worst_pending()
@@ -240,22 +243,24 @@ class Scheduler:
                     self.metrics.job_shed()
                     raise OverloadedError(f"job shed: {reason}")
                 self._shed_pending(victim, reason)
-            self._register_primary(record)
+            self._track(record)
             self._pending.setdefault(compat_key(record), []).append(record)
             self._pending_count += 1
             self._pending_gens += record.remaining
             self.metrics.job_submitted(self._pending_count)
             self._cond.notify_all()
-            return handle
+            return record.handle
 
     def resume_spilled(self) -> list[JobHandle]:
         """Reload every spilled slab checkpoint and re-dispatch it.
 
-        Resumed jobs get fresh handles (returned here, keyed by original
-        ``job_id``) and re-enter as parked slabs ready immediately; their
-        results are bit-identical to an uninterrupted run because the
-        checkpoint is the carried state at a chunk boundary.  A no-op
-        without a spill store.
+        Resumed jobs get fresh handles (returned here) and keep their
+        original ``job_id``; the id counter then moves past every resumed
+        id, so a fresh submission never reuses one.  Each spilled slab is
+        checkpointed again under this process's name and re-enters the
+        slab table parked and ready at once; results are bit-identical to
+        an uninterrupted run because the checkpoint is the carried state
+        at a chunk boundary.  A no-op without a spill store.
         """
         if self.store is None:
             return []
@@ -274,15 +279,21 @@ class Scheduler:
                 if not records:
                     continue
                 for record in records:
-                    record.handle._canceller = self._request_cancel
                     if self.run_store is not None:
                         # resumed jobs re-enter the coalescing map so later
                         # duplicates ride them instead of recomputing
                         record.store_key = job_key(record.request)
-                        self._register_primary(record)
+                    self._track(record)
                     handles.append(record.handle)
-                self._parked.append((0.0, Slab(records, self.policy)))
+                slab = Slab(records, self.policy)
+                self._slabs[slab.slab_id] = slab
+                # the claim deleted its file: keep the slab on disk while
+                # it waits for a worker, or a second crash would lose it
+                self.store.save(slab.slab_id, slab.checkpoint_payload())
+                self.metrics.slab_checkpointed()
             if handles:
+                top = max(handle.job_id for handle in handles)
+                self._seq = itertools.count(max(next(self._seq), top + 1))
                 self.metrics.jobs_resumed(len(handles))
                 self._cond.notify_all()
         return handles
@@ -290,6 +301,8 @@ class Scheduler:
     def shutdown(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop accepting jobs; drain (default) or cancel the backlog.
 
+        ``drain=False`` flags every job for eviction: pending and parked
+        ones fail at once, in-flight ones at their next chunk boundary.
         When ``timeout`` expires with the scheduler thread still alive,
         the backlog is *abandoned*: every job still pending, parked, or
         in flight fails with :class:`ShutdownTimeoutError` so no client
@@ -298,20 +311,10 @@ class Scheduler:
         """
         with self._cond:
             self._closing = True
-            self._draining = drain
             if not drain:
-                for key in list(self._pending):
-                    for record in self._take_pending(key, len(self._pending[key])):
-                        self._fail_record(
-                            record,
-                            JobCancelledError(
-                                f"job {record.job_id} cancelled by shutdown"
-                            ),
-                        )
-                for _, slab in self._parked:
-                    self._cancel_slab(slab, "cancelled by shutdown")
-                    self._retire_slab(slab)
-                self._parked = []
+                for record in self._records():
+                    record.cancel_reason = "cancelled by shutdown"
+                self._sweep(time.monotonic())
             self._cond.notify_all()
         if not self._started:
             return
@@ -325,13 +328,10 @@ class Scheduler:
         )
         with self._cond:
             self._abandoned = True
-            leftovers: list[JobRecord] = []
+            leftovers = list(self._records())
             for key in list(self._pending):
-                leftovers.extend(self._take_pending(key, len(self._pending[key])))
-            for entry in self._inflight.values():
-                leftovers.extend(entry["slab"].entries)
-            for _, slab in self._parked:
-                leftovers.extend(slab.entries)
+                self._take_pending(key, len(self._pending[key]))
+            self._slabs.clear()
             for record in leftovers:
                 self._fail_record(
                     record,
@@ -353,9 +353,14 @@ class Scheduler:
                     self.metrics.job_failed()
             self._followers.clear()
             self._active_keys.clear()
-            self._parked = []
-            self._inflight.clear()
             self._cond.notify_all()
+
+    def _records(self):
+        """Every job the scheduler holds: queued, parked or in flight."""
+        for records in self._pending.values():
+            yield from records
+        for slab in self._slabs.values():
+            yield from slab.entries
 
     # -- overload protection --------------------------------------------
     def _overload_reason(self) -> str | None:
@@ -396,242 +401,243 @@ class Scheduler:
         )
         self.metrics.job_shed()
 
-    # -- cancellation ---------------------------------------------------
-    def _request_cancel(self, job_id: int) -> bool:
-        """Handle-side cancel: drop a pending job now, flag an in-flight
-        or parked one for eviction at its next chunk boundary."""
+    # -- cancellation and eviction --------------------------------------
+    def _request_cancel(self, record: JobRecord) -> bool:
+        """Handle-side cancel: flag the job for eviction at the next sweep
+        (queued or parked) or chunk boundary (in flight)."""
         with self._cond:
-            for records in self._pending.values():
-                for record in records:
-                    if record.job_id != job_id:
-                        continue
-                    self._drop_pending(record)
-                    self._fail_record(
-                        record, JobCancelledError(f"job {job_id} cancelled")
-                    )
-                    self.metrics.job_cancelled()
-                    self._cond.notify_all()
-                    return True
-            for entry in self._inflight.values():
-                for record in entry["slab"].entries:
-                    if record.job_id == job_id:
-                        record.cancel_requested = True
-                        return True
-            for _, slab in self._parked:
-                for record in slab.entries:
-                    if record.job_id == job_id:
-                        record.cancel_requested = True
-                        self._cond.notify_all()
-                        return True
-            return False
+            if record.handle.done():
+                return False
+            record.cancel_reason = "cancelled"
+            self._cond.notify_all()
+            return True
+
+    def _evict(
+        self, records: list[JobRecord], now: float, where: str = ""
+    ) -> list[JobRecord]:
+        """The one eviction path (lock held): fail every job that was
+        cancelled or is past an enforced deadline; return the rest."""
+        keep: list[JobRecord] = []
+        for record in records:
+            if record.cancel_reason is not None:
+                self.metrics.job_cancelled()
+                self._fail_record(
+                    record,
+                    JobCancelledError(
+                        f"job {record.job_id} {record.cancel_reason}"
+                    ),
+                )
+            elif (
+                record.request.deadline_mode == "enforce"
+                and now > record.deadline_at
+            ):
+                self.metrics.job_deadline_enforced()
+                self._fail_record(
+                    record,
+                    DeadlineExceededError(
+                        f"job {record.job_id} blew its "
+                        f"{record.request.deadline_s}s deadline{where}"
+                    ),
+                )
+            else:
+                keep.append(record)
+        return keep
+
+    def _sweep(self, now: float) -> None:
+        """Evict from the pending queue and every parked slab (lock held);
+        a parked slab left empty retires at once."""
+        queued = [record for records in self._pending.values() for record in records]
+        kept = self._evict(queued, now, " in queue")
+        if len(kept) < len(queued):
+            for record in set(queued).difference(kept):
+                self._drop_pending(record)
+        for slab in [s for s in self._slabs.values() if s.token is None]:
+            slab.entries = self._evict(slab.entries, now)
+            if not slab.entries:
+                self._retire_slab(slab)
 
     # -- scheduler loop -------------------------------------------------
     def _loop(self) -> None:
         with self._cond:
             while True:
                 now = time.monotonic()
-                self._fail_hung_chunks(now)
-                self._expire_pending(now)
-                self._unpark(now)
-                self._dispatch_ready()
-                if self._abandoned:
-                    break
-                if (
-                    self._closing
-                    and self._pending_count == 0
-                    and not self._inflight
-                    and not self._parked
-                ):
-                    break
+                if self._step(now):
+                    return
                 self._cond.wait(self._wait_timeout(now))
 
+    def _step(self, now: float) -> bool:
+        """One pass of the loop (lock held); True once the loop may exit.
+
+        Overdue chunks are treated as lost, the queue and the parked slabs
+        are swept, and every free worker slot gets work.
+        """
+        self._fail_hung_chunks(now)
+        self._sweep(now)
+        self._dispatch_ready(now)
+        return self._abandoned or (
+            self._closing and not self._pending and not self._slabs
+        )
+
     def _wait_timeout(self, now: float) -> float | None:
-        """Sleep until the earliest timed event the loop must act on."""
-        deadlines: list[float] = []
+        """Sleep until the earliest timed event the loop must act on.
+
+        A parked slab already past its wake time waits for a free slot,
+        and every event that frees one notifies the loop.
+        """
+        wakes = [
+            slab.wake_at
+            for slab in self._slabs.values()
+            if slab.wake_at is not None and slab.wake_at > now
+        ]
         for records in self._pending.values():
             for record in records:
                 if record.request.deadline_mode == "enforce":
-                    deadlines.append(record.deadline_at)
-        for ready_at, _ in self._parked:
-            deadlines.append(ready_at)
-        for entry in self._inflight.values():
-            if entry["deadline"] is not None:
-                deadlines.append(entry["deadline"])
-        if not deadlines:
+                    wakes.append(record.deadline_at)
+        if not wakes:
             return None
-        return max(min(deadlines) - now, 1e-4)
+        return max(min(wakes) - now, 1e-4)
 
-    def _dispatch_ready(self) -> None:
+    def _dispatch_ready(self, now: float) -> None:
         """Work-conserving dispatch (lock held): while a worker slot is
-        free, seal the group owning the best-ordered pending job and send
-        it.  A partial group never waits for company — jobs arriving
-        later join a running slab at its next chunk boundary."""
+        free, re-send the parked slabs whose backoff is over (earliest
+        first), then seal the group owning the best-ordered pending job.
+        A partial group never waits for company — jobs arriving later
+        join a running slab at its next chunk boundary."""
+        ready = sorted(
+            (
+                slab for slab in self._slabs.values()
+                if slab.token is None and slab.wake_at <= now
+            ),
+            key=lambda slab: slab.wake_at,
+        )
+        for slab in ready:
+            if self._slots_free <= 0:
+                return
+            self._dispatch(slab, now)
         while self._slots_free > 0 and self._pending:
             key = min(
                 self._pending,
                 key=lambda k: min(r.order_key() for r in self._pending[k]),
             )
             self._dispatch(
-                Slab(self._take_pending(key, self.policy.max_batch), self.policy)
+                Slab(self._take_pending(key, self.policy.max_batch), self.policy),
+                now,
             )
 
-    def _dispatch(self, slab: Slab) -> None:
+    def _dispatch(self, slab: Slab, now: float) -> None:
         """Send the slab's next chunk to the pool (lock held)."""
-        chunk = slab.next_chunk_gens()
-        now = time.monotonic()
-        token = next(self._tokens)
+        slab.chunk = slab.next_chunk_gens()
+        slab.token = token = next(self._tokens)
+        slab.pool_gen = self.pool.generation
+        slab.wake_at = (
+            now + self.policy.chunk_timeout_s
+            if self.policy.chunk_timeout_s is not None
+            else None
+        )
+        self._slabs[slab.slab_id] = slab
         for record in slab.entries:
             if record.started_at is None:
                 record.started_at = now
         if self.store is not None:
             self.store.save(slab.slab_id, slab.checkpoint_payload())
             self.metrics.slab_checkpointed()
-        deadline = (
-            now + self.policy.chunk_timeout_s
-            if self.policy.chunk_timeout_s is not None
-            else None
-        )
-        self._inflight[slab.slab_id] = {
-            "slab": slab,
-            "chunk": chunk,
-            "token": token,
-            "at": now,
-            "deadline": deadline,
-            "pool_gen": self.pool.generation,
-        }
         self.metrics.chunk_dispatched(len(slab))
-        spec = slab.make_spec(chunk)
         self.pool.submit_chunk(
-            spec,
-            lambda out, sid=slab.slab_id, tok=token: self._on_chunk(
-                sid, tok, out
-            ),
+            slab.make_spec(slab.chunk),
+            lambda out: self._on_chunk(slab, token, out),
         )
 
-    # -- timed-event sweeps (lock held) ---------------------------------
     def _fail_hung_chunks(self, now: float) -> None:
-        """The per-chunk wall-clock watchdog: treat overdue chunks as lost."""
+        """The per-chunk wall-clock watchdog: treat overdue chunks as lost
+        (lock held)."""
         if self.policy.chunk_timeout_s is None:
             return
-        for slab_id in list(self._inflight):
-            entry = self._inflight[slab_id]
-            if entry["deadline"] is None or now < entry["deadline"]:
+        for slab in list(self._slabs.values()):
+            if slab.token is None or now < slab.wake_at:
                 continue
-            del self._inflight[slab_id]
             if self.pool.can_respawn:
                 # the stuck process dies with its pool; the stale future's
-                # eventual callback is discarded by token
-                if self.pool.respawn(entry["pool_gen"]):
+                # eventual callback no longer matches the slab's token
+                if self.pool.respawn(slab.pool_gen):
                     self.metrics.pool_respawned()
-                self._dead_tokens.add(entry["token"])
             else:
                 # a thread cannot be killed: it keeps occupying a worker
                 # slot until it returns, so account it as a zombie
-                self._zombies.add(entry["token"])
+                self._zombies.add(slab.token)
             self.metrics.chunk_timed_out()
             log.warning(
                 "chunk on slab %d overdue after %.3fs; retrying",
-                slab_id,
+                slab.slab_id,
                 self.policy.chunk_timeout_s,
             )
             self._chunk_failed(
-                entry["slab"],
+                slab,
                 ChunkTimeoutError(
-                    f"chunk on slab {slab_id} exceeded "
+                    f"chunk on slab {slab.slab_id} exceeded "
                     f"{self.policy.chunk_timeout_s}s watchdog"
                 ),
                 now,
             )
 
-    def _expire_pending(self, now: float) -> None:
-        """Fail enforce-mode jobs that blew their deadline while queued."""
-        expired = [
-            record
-            for records in self._pending.values()
-            for record in records
-            if record.request.deadline_mode == "enforce"
-            and now > record.deadline_at
-        ]
-        for record in expired:
-            self._drop_pending(record)
-            self._fail_record(
-                record,
-                DeadlineExceededError(
-                    f"job {record.job_id} blew its "
-                    f"{record.request.deadline_s}s deadline in queue"
-                ),
-            )
-            self.metrics.job_deadline_enforced()
-
-    def _unpark(self, now: float) -> None:
-        """Re-dispatch parked slabs whose backoff has expired."""
-        still: list[tuple[float, Slab]] = []
-        for ready_at, slab in sorted(self._parked, key=lambda p: p[0]):
-            if now < ready_at or self._slots_free <= 0:
-                still.append((ready_at, slab))
-                continue
-            self._evict(slab, now)
-            if slab.entries:
-                self._dispatch(slab)
-            else:
-                self._retire_slab(slab)
-        self._parked = still
-
     # -- pool callback --------------------------------------------------
-    def _on_chunk(self, slab_id: int, token: int, out: dict | BaseException) -> None:
+    def _on_chunk(self, slab: Slab, token: int, out: dict | BaseException) -> None:
         with self._cond:
             if self._abandoned:
                 return
-            entry = self._inflight.get(slab_id)
-            if entry is None or entry["token"] != token:
+            if slab.token != token:
                 # stale: a zombie finally returned, or a respawned pool's
                 # broken future landed after the watchdog already retried
                 self._zombies.discard(token)
-                self._dead_tokens.discard(token)
                 self._cond.notify_all()
                 return
-            del self._inflight[slab_id]
-            slab = entry["slab"]
             now = time.monotonic()
             if isinstance(out, BaseException):
-                if isinstance(out, RETRYABLE_ERRORS):
-                    if isinstance(out, concurrent.futures.BrokenExecutor):
-                        if self.pool.respawn(entry["pool_gen"]):
-                            self.metrics.pool_respawned()
-                    self._chunk_failed(slab, out, now)
-                else:
-                    # application error: deterministic, retry cannot help
-                    self._fail_slab(slab, out)
+                if isinstance(out, concurrent.futures.BrokenExecutor):
+                    if self.pool.respawn(slab.pool_gen):
+                        self.metrics.pool_respawned()
+                self._chunk_failed(slab, out, now)
                 self._cond.notify_all()
                 return
-            self.metrics.chunk_completed(len(slab), entry["chunk"])
-            finished = slab.apply_chunk(out, entry["chunk"])
+            slab.token = None
+            self.metrics.chunk_completed(len(slab), slab.chunk)
+            for record in slab.apply_chunk(out, slab.chunk):
+                self._complete_record(record, record.to_result(now), now)
             if slab.failed_at is not None:
                 self.metrics.chunk_recovered(now - slab.failed_at)
                 slab.failed_at = None
-            for record in finished:
-                self._complete_record(record, record.to_result(now), now)
-            self._evict(slab, now)
-            if self._closing and not self._draining:
-                self._cancel_slab(slab, "cancelled by shutdown")
-            else:
-                self._admit_into(slab)
+            slab.entries = self._evict(slab.entries, now)
+            if slab.capacity_left > 0 and slab.key in self._pending:
+                # continuous batching: compatible pending jobs fill the
+                # freed replica rows at the chunk boundary
+                slab.admit(
+                    self._evict(
+                        self._take_pending(slab.key, slab.capacity_left),
+                        now,
+                        " in queue",
+                    )
+                )
             if slab.entries:
-                self._dispatch(slab)
+                self._dispatch(slab, now)
             else:
                 self._retire_slab(slab)
             self._cond.notify_all()
 
     def _chunk_failed(self, slab: Slab, exc: BaseException, now: float) -> None:
-        """Retry accounting for a lost chunk (lock held).
+        """A chunk was lost or raised (lock held).
 
-        Jobs whose retry budget is exhausted fail; the survivors park for
-        the longest of their per-job backoffs and re-dispatch.
+        A retryable loss costs each job one attempt of its budget: jobs
+        with attempts left park for the longest of their backoffs, the
+        rest fail.  An application error would recur on re-execution, so
+        it fails every job at once.
         """
+        slab.token = None
+        retryable = isinstance(exc, RETRYABLE_ERRORS)
         survivors: list[JobRecord] = []
         for record in slab.entries:
             record.attempts += 1
-            if record.attempts >= record.request.retry.max_attempts:
+            if retryable and record.attempts < record.request.retry.max_attempts:
+                survivors.append(record)
+            else:
                 self._fail_record(
                     record,
                     JobFailedError(
@@ -639,71 +645,28 @@ class Scheduler:
                         f"{record.attempts} attempts: {exc!r}"
                     ),
                 )
-            else:
-                survivors.append(record)
         slab.entries = survivors
-        if self._closing and not self._draining:
-            self._cancel_slab(slab, "cancelled by shutdown")
-        if not slab.entries:
+        if not survivors:
             self._retire_slab(slab)
             return
         slab.failed_at = slab.failed_at if slab.failed_at is not None else now
         delay = max(
             r.request.retry.delay_s(r.attempts, r.request.params.rng_seed)
-            for r in slab.entries
+            for r in survivors
         )
-        self._parked.append((now + delay, slab))
-        self.metrics.chunk_retried(len(slab.entries))
+        slab.wake_at = now + delay
+        self.metrics.chunk_retried()
         log.warning(
             "retrying slab %d (%d jobs) in %.3fs after %r",
             slab.slab_id,
-            len(slab.entries),
+            len(survivors),
             delay,
             exc,
         )
 
-    def _fail_slab(self, slab: Slab, exc: BaseException) -> None:
-        for record in slab.entries:
-            self._fail_record(
-                record, JobFailedError(f"job {record.job_id} failed: {exc!r}")
-            )
-        slab.entries = []
-        self._retire_slab(slab)
-
-    def _cancel_slab(self, slab: Slab, reason: str) -> None:
-        for record in slab.entries:
-            self._fail_record(
-                record, JobCancelledError(f"job {record.job_id} {reason}")
-            )
-        slab.entries = []
-
-    def _evict(self, slab: Slab, now: float) -> None:
-        """Drop cancelled and enforce-expired jobs at a chunk boundary."""
-        keep: list[JobRecord] = []
-        for record in slab.entries:
-            if record.cancel_requested:
-                self._fail_record(
-                    record, JobCancelledError(f"job {record.job_id} cancelled")
-                )
-                self.metrics.job_cancelled()
-            elif (
-                record.request.deadline_mode == "enforce"
-                and now > record.deadline_at
-            ):
-                self._fail_record(
-                    record,
-                    DeadlineExceededError(
-                        f"job {record.job_id} blew its "
-                        f"{record.request.deadline_s}s deadline"
-                    ),
-                )
-                self.metrics.job_deadline_enforced()
-            else:
-                keep.append(record)
-        slab.entries = keep
-
     def _retire_slab(self, slab: Slab) -> None:
-        """A slab leaves the scheduler: drop its spilled checkpoint."""
+        """A slab leaves the table: drop its spilled checkpoint."""
+        del self._slabs[slab.slab_id]
         if self.store is not None:
             self.store.discard(slab.slab_id)
 
@@ -732,17 +695,21 @@ class Scheduler:
         result.deadline_missed = False
         return result
 
-    def _register_primary(self, record: JobRecord) -> None:
-        """Make a keyed job the coalescing target for later duplicates
-        (lock held).  No-op without a key or with caching disabled."""
+    def _track(self, record: JobRecord) -> None:
+        """Bind the job's handle to its record for cancellation, and make
+        a keyed job the coalescing target for later duplicates (lock
+        held; no coalescing without a key or with caching disabled)."""
+        record.handle._canceller = (
+            lambda _job_id, r=record: self._request_cancel(r)
+        )
         if record.store_key is not None and self.cache:
-            self._active_keys[record.store_key] = record.job_id
+            self._active_keys[record.store_key] = record
             self._followers.setdefault(record.store_key, [])
 
     def _pop_followers(self, record: JobRecord) -> list[JobHandle]:
         """Release a terminating primary's followers (lock held)."""
         key = record.store_key
-        if key is None or self._active_keys.get(key) != record.job_id:
+        if key is None or self._active_keys.get(key) is not record:
             return []
         del self._active_keys[key]
         return self._followers.pop(key, [])
@@ -804,12 +771,6 @@ class Scheduler:
             self.metrics.job_failed()
             self.metrics.job_cancelled()
             return True
-
-    def _admit_into(self, slab: Slab) -> None:
-        """Continuous batching: pull compatible pending jobs into freed
-        replica rows at the chunk boundary (lock held)."""
-        if slab.capacity_left > 0 and slab.key in self._pending:
-            slab.admit(self._take_pending(slab.key, slab.capacity_left))
 
     # -- the pending queue (lock held) -------------------------------------
     def _take_pending(self, key: tuple, n: int) -> list[JobRecord]:

@@ -81,9 +81,10 @@ class TestWorkConservingDispatch:
         try:
             handle = scheduler.submit(request())
             with scheduler._cond:
-                scheduler._dispatch_ready()
-                assert len(scheduler._inflight) == 1
-                assert scheduler._pending_count == 0
+                scheduler._step(time.monotonic())
+                (slab,) = scheduler._slabs.values()
+                assert slab.token is not None  # in flight, not parked
+                assert not scheduler._pending
             # the chunk's own callback completes the job
             assert handle.result(timeout=10).best_fitness >= 0
         finally:

@@ -91,6 +91,26 @@ class TestCommands:
             main(["run", "--pop", "4", "--gens", "4", "--islands", "8",
                   "--topology", "random:4"])
 
+    def test_run_store_dir_caches_cycle_accurate_runs(self, capsys, tmp_path):
+        argv = [
+            "run", "--fitness", "F2", "--pop", "8", "--gens", "4",
+            "--seed", "10593", "--cycle-accurate", "--store-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "computed cold" in cold and "cache hit" in warm
+        best = cold.split(" (optimum")[0]
+        assert warm.startswith(best) and "best" in best
+
+    def test_run_islands_cycle_accurate_is_the_requests_error(self):
+        with pytest.raises(
+            ValueError, match="substrate 'cycle' jobs cannot be islands"
+        ):
+            main(["run", "--pop", "8", "--gens", "4", "--islands", "2",
+                  "--cycle-accurate"])
+
     def test_table6(self, capsys):
         assert main(["table6"]) == 0
         out = capsys.readouterr().out
