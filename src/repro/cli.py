@@ -354,7 +354,6 @@ def cmd_serve(args) -> None:
         max_pending=args.max_pending,
         chunk_timeout_s=args.chunk_timeout_s or None,
         shed_queue_depth=args.shed_queue_depth or None,
-        max_backlog_s=args.max_backlog_s or None,
     )
     if args.resume and not (args.spill_dir or args.store_dir):
         raise SystemExit("--resume requires --spill-dir or --store-dir")
@@ -718,9 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shed-queue-depth", type=int, default=0,
                            help="start shedding lowest-priority jobs at "
                                 "this queue depth (0 = disabled)")
-            p.add_argument("--max-backlog-s", type=float, default=0.0,
-                           help="shed when the estimated backlog exceeds "
-                                "this many seconds (0 = disabled)")
             p.add_argument("--store-dir", default="",
                            help="content-addressed run store: cached "
                                 "results, duplicate coalescing, and (unless "

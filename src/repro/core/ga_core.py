@@ -40,6 +40,7 @@ from repro.core.ga_memory import BANK_SIZE, bank_address, pack_word, unpack_word
 from repro.core.params import GAParameters, PRESET_MODES, PresetMode
 from repro.core.ports import GAPorts
 from repro.core.stats import GenerationStats
+from repro.core.validate import check_cycle_population
 from repro.hdl.component import Component
 
 
@@ -151,11 +152,7 @@ class GACore(Component):
                 "initialization; program Table III parameters or select a preset"
             )
         cfg = GAParameters.from_index_values(self.param_words)
-        if cfg.population_size > self.MAX_POPULATION:
-            raise ValueError(
-                f"cycle-accurate core supports populations up to {self.MAX_POPULATION} "
-                f"(two banks in the 256-word GA memory); got {cfg.population_size}"
-            )
+        check_cycle_population(cfg.population_size)
         return cfg
 
     def _record_generation(self) -> None:

@@ -1,4 +1,4 @@
-"""Shared input validation for the behavioural GA engines.
+"""Shared input validation for the GA engines and the jobs that name them.
 
 The serial and batched engines accept caller-supplied initial populations
 (the service layer resuming suspended slabs).  Both must enforce the same
@@ -15,11 +15,18 @@ The island-model checks live here too, fan-in included, so a request
 that no archipelago could run is refused at admission rather than in a
 worker: :func:`topology_fan_in` derives the fan-in from the spec alone
 and :func:`torus_grid` is the one place the torus grid shape is decided.
+
+:func:`validate_request` is the one legality check for a job request, so
+an illegal combination of substrate, islands and protection is refused
+in one place.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.ga_memory import BANK_SIZE
+from repro.fitness.functions import REGISTRY
 
 #: Topology names the archipelago layer implements
 #: (:mod:`repro.parallel.archipelago` builds its wiring factory from this
@@ -29,6 +36,88 @@ import numpy as np
 KNOWN_TOPOLOGIES: tuple[str, ...] = ("ring", "torus", "random")
 
 
+def validate_request(request) -> None:
+    """Refuse, with a named error, a job no engine could run as asked.
+
+    ``request`` has :class:`~repro.service.jobs.GARequest`'s fields, and
+    ``GARequest`` calls this on construction.  Checked in order: the
+    substrate and what it combines with (only ``"behavioral"`` runs
+    islands or a protection preset, never both); the island parameters;
+    the fitness name in the substrate's registry; the cycle-accurate
+    core's population limit; the protection preset; and upsets only
+    through a preset, since without one no harness injects them.
+    """
+    substrate = request.substrate
+    if substrate not in ("behavioral", "cycle", "dual32"):
+        raise ValueError(
+            f"substrate must be 'behavioral', 'cycle' or 'dual32': "
+            f"{substrate!r}"
+        )
+    protection = request.protection
+    if substrate != "behavioral":
+        if request.n_islands > 1:
+            raise ValueError(f"substrate {substrate!r} jobs cannot be islands")
+        if protection is not None:
+            raise ValueError(
+                f"substrate {substrate!r} jobs cannot request a "
+                "protection preset"
+            )
+    population_size = request.params.population_size
+    validate_island_params(
+        request.n_islands,
+        request.migration_interval,
+        request.topology,
+        population_size,
+    )
+    if request.n_islands > 1 and protection is not None:
+        raise ValueError(
+            "island jobs cannot request a protection preset; the "
+            "resilience harness addresses solo engine runs"
+        )
+    if substrate == "dual32":
+        from repro.fitness.ehw_targets import FITNESS32_REGISTRY
+
+        if request.fitness_name not in FITNESS32_REGISTRY:
+            raise ValueError(
+                f"unknown 32-bit fitness {request.fitness_name!r}; "
+                f"available: {sorted(FITNESS32_REGISTRY)}"
+            )
+    elif request.fitness_name not in REGISTRY:
+        raise ValueError(
+            f"unknown fitness slot {request.fitness_name!r}; "
+            f"available: {sorted(REGISTRY)}"
+        )
+    if substrate == "cycle":
+        check_cycle_population(population_size)
+    if protection is not None:
+        from repro.resilience import PROTECTION_PRESETS
+
+        if protection not in PROTECTION_PRESETS:
+            raise ValueError(
+                f"unknown protection preset {protection!r}; "
+                f"available: {sorted(PROTECTION_PRESETS)}"
+            )
+    if request.upset_rate < 0:
+        raise ValueError(f"upset_rate must be >= 0: {request.upset_rate}")
+    if request.upset_rate > 0 and protection is None:
+        raise ValueError(
+            f"upset_rate {request.upset_rate} needs a protection preset; "
+            'pass protection="unprotected" to inject raw upsets'
+        )
+
+
+def check_cycle_population(population_size: int) -> None:
+    """The cycle-accurate core's limit: one population per bank of its
+    256-word GA memory (Sec. III-B.7).  :class:`~repro.core.ga_core.GACore`
+    raises through this too, so a refused request and a refused run carry
+    one message."""
+    if population_size > BANK_SIZE:
+        raise ValueError(
+            f"cycle-accurate core supports populations up to {BANK_SIZE} "
+            f"(two banks in the 256-word GA memory); got {population_size}"
+        )
+
+
 def validate_island_params(
     n_islands: int, migration_interval: int, topology: str, population_size: int
 ) -> None:
@@ -36,8 +125,7 @@ def validate_island_params(
 
     The same contract is enforced — via this one helper, so the messages
     cannot drift — by :class:`~repro.parallel.archipelago.VectorIslandGA`
-    (and so the CLI's ``run --islands``) and by the service wire layer
-    (:class:`~repro.service.jobs.GARequest`).  ``n_islands == 1`` is the
+    and by :func:`validate_request`.  ``n_islands == 1`` is the
     degenerate single-population archipelago (no migration edges), which
     is how a non-island job is encoded on the wire.  A topology whose
     fan-in would replace a whole population at a migration boundary is

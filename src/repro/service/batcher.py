@@ -48,11 +48,6 @@ class BatchPolicy:
     #: queue depth at which load shedding starts (lowest-priority pending
     #: jobs fail with ``OverloadedError``); ``None`` disables shedding
     shed_queue_depth: int | None = None
-    #: estimated backlog seconds (pending generations / observed
-    #: generations-per-second) beyond which shedding starts; ``None``
-    #: disables the estimate.  No shedding happens before the first
-    #: completed chunk establishes a rate.
-    max_backlog_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -70,10 +65,6 @@ class BatchPolicy:
         if self.shed_queue_depth is not None and self.shed_queue_depth < 1:
             raise ValueError(
                 f"shed_queue_depth must be >= 1: {self.shed_queue_depth}"
-            )
-        if self.max_backlog_s is not None and self.max_backlog_s <= 0:
-            raise ValueError(
-                f"max_backlog_s must be positive: {self.max_backlog_s}"
             )
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.params import GAParameters
 from repro.core.stats import GenerationStats
-from repro.core.validate import validate_island_params
-from repro.fitness.functions import REGISTRY
+from repro.core.validate import validate_request
 
 
 def params_to_dict(params: GAParameters) -> dict:
@@ -57,8 +56,9 @@ class JobCancelledError(ServiceError):
 
 
 class OverloadedError(ServiceError):
-    """Admission control shed this job: the service is overloaded (queue
-    depth or estimated backlog time beyond the shedding limits)."""
+    """Admission control shed this job: the pending queue had reached
+    ``BatchPolicy.shed_queue_depth``, and this job was the worst-ordered
+    of the queue plus the arrival."""
 
 
 class DeadlineExceededError(ServiceError):
@@ -179,7 +179,8 @@ class GARequest:
     late jobs.  ``protection``/``upset_rate``/``campaign_seed`` request
     hardened execution through the resilience layer; hardened jobs run in
     dedicated single-job slabs so their fault injection stays bit-exact
-    against a solo hardened run.
+    against a solo hardened run.  Construction refuses a job no engine
+    could run as asked (:func:`~repro.core.validate.validate_request`).
     """
 
     params: GAParameters
@@ -222,45 +223,9 @@ class GARequest:
     substrate: str = "behavioral"
 
     def __post_init__(self) -> None:
-        if self.substrate not in ("behavioral", "cycle", "dual32"):
-            raise ValueError(
-                f"substrate must be 'behavioral', 'cycle' or 'dual32': "
-                f"{self.substrate!r}"
-            )
-        if self.substrate != "behavioral":
-            if self.n_islands > 1:
-                raise ValueError(
-                    f"substrate {self.substrate!r} jobs cannot be islands"
-                )
-            if self.protection is not None:
-                raise ValueError(
-                    f"substrate {self.substrate!r} jobs cannot request a "
-                    "protection preset"
-                )
-        validate_island_params(
-            self.n_islands,
-            self.migration_interval,
-            self.topology,
-            self.params.population_size,
-        )
-        if self.n_islands > 1 and self.protection is not None:
-            raise ValueError(
-                "island jobs cannot request a protection preset; the "
-                "resilience harness addresses solo engine runs"
-            )
-        if self.substrate == "dual32":
-            from repro.fitness.ehw_targets import FITNESS32_REGISTRY
-
-            if self.fitness_name not in FITNESS32_REGISTRY:
-                raise ValueError(
-                    f"unknown 32-bit fitness {self.fitness_name!r}; "
-                    f"available: {sorted(FITNESS32_REGISTRY)}"
-                )
-        elif self.fitness_name not in REGISTRY:
-            raise ValueError(
-                f"unknown fitness slot {self.fitness_name!r}; "
-                f"available: {sorted(REGISTRY)}"
-            )
+        # what an engine can run is decided in one place; the scheduling
+        # hints below are the serving layer's own
+        validate_request(self)
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive: {self.deadline_s}")
         if self.deadline_mode not in ("observe", "enforce"):
@@ -270,16 +235,6 @@ class GARequest:
             )
         if self.deadline_mode == "enforce" and self.deadline_s is None:
             raise ValueError("deadline_mode='enforce' requires deadline_s")
-        if self.protection is not None:
-            from repro.resilience import PROTECTION_PRESETS
-
-            if self.protection not in PROTECTION_PRESETS:
-                raise ValueError(
-                    f"unknown protection preset {self.protection!r}; "
-                    f"available: {sorted(PROTECTION_PRESETS)}"
-                )
-        if self.upset_rate < 0:
-            raise ValueError(f"upset_rate must be >= 0: {self.upset_rate}")
 
     # -- wire format (the ``repro submit`` TCP client) ------------------
     def to_dict(self) -> dict:
@@ -446,9 +401,10 @@ class JobHandle:
         return self._result
 
     def cancel(self) -> bool:
-        """Request cancellation: a pending job is dropped immediately, an
-        in-flight one is cancelled cooperatively at its next chunk
-        boundary (either way the handle fails with
+        """Request cancellation: a queued or parked job is evicted at the
+        scheduler loop's next pass, an in-flight one cooperatively at its
+        next chunk boundary, and a duplicate riding another job's
+        computation at once (each way the handle fails with
         :class:`JobCancelledError`).  Returns ``True`` if the request was
         accepted, ``False`` if the job already completed (or the handle
         was never registered with a scheduler)."""

@@ -247,13 +247,6 @@ class ServiceMetrics:
     def cache_writes(self) -> int:
         return self._cache_writes.value
 
-    def generations_rate(self) -> float:
-        """Observed generations/second over the service lifetime (0.0
-        before any chunk completes) — the backlog-time estimator's
-        denominator."""
-        uptime = max(time.monotonic() - self.started_at, 1e-9)
-        return self.generations_executed / uptime
-
     @property
     def latencies_s(self) -> list[float]:
         return self._latency.samples

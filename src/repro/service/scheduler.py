@@ -49,11 +49,13 @@ Fault tolerance (``docs/architecture.md`` has the full story):
   retirement; :meth:`Scheduler.resume_spilled` reloads whatever a
   crashed process left behind and re-dispatches it from the last
   boundary instead of generation 0.
-* **Overload protection** — beyond the hard ``max_pending`` bound,
-  ``shed_queue_depth``/``max_backlog_s`` start *shedding*: the
+* **Overload protection** — besides the hard ``max_pending`` bound,
+  a pending queue ``shed_queue_depth`` deep starts *shedding*: the
   worst-ordered job (the incoming one, or a pending victim it beats)
   fails fast with :class:`~repro.service.jobs.OverloadedError` instead
-  of joining a queue the service cannot drain in time.
+  of joining a queue the service cannot drain in time.  Queue depth is
+  scheduler state, so shedding reads no clock and no throughput
+  estimate.
 * **Eviction** — a handle's ``cancel()``, a non-draining shutdown and a
   blown ``deadline_mode="enforce"`` deadline take one path: a queued or
   parked job fails at the next sweep, an in-flight one at its chunk's
@@ -147,9 +149,6 @@ class Scheduler:
         self._cond = threading.Condition()
         self._pending: dict[tuple, list[JobRecord]] = {}
         self._pending_count = 0
-        #: sum of pending jobs' remaining generations — the backlog-time
-        #: estimator's numerator, maintained incrementally
-        self._pending_gens = 0
         #: slab_id -> every live slab, in flight or parked
         self._slabs: dict[int, Slab] = {}
         #: thread-mode hung chunks: their worker thread is still occupied,
@@ -246,7 +245,6 @@ class Scheduler:
             self._track(record)
             self._pending.setdefault(compat_key(record), []).append(record)
             self._pending_count += 1
-            self._pending_gens += record.remaining
             self.metrics.job_submitted(self._pending_count)
             self._cond.notify_all()
             return record.handle
@@ -373,16 +371,6 @@ class Scheduler:
                 f"queue depth {self._pending_count} >= shed bound "
                 f"{self.policy.shed_queue_depth}"
             )
-        if self.policy.max_backlog_s is not None:
-            # no rate (and no estimate) before the first chunk completes
-            rate = self.metrics.generations_rate()
-            if rate > 0:
-                backlog = self._pending_gens / rate
-                if backlog > self.policy.max_backlog_s:
-                    return (
-                        f"estimated backlog {backlog:.2f}s > "
-                        f"{self.policy.max_backlog_s}s"
-                    )
         return None
 
     def _worst_pending(self) -> JobRecord | None:
@@ -780,7 +768,6 @@ class Scheduler:
         if rest:
             self._pending[key] = rest
         self._pending_count -= len(taken)
-        self._pending_gens -= sum(r.remaining for r in taken)
         self.metrics.queue_drained_to(self._pending_count)
         return taken
 
@@ -791,5 +778,4 @@ class Scheduler:
         if not self._pending[key]:
             del self._pending[key]
         self._pending_count -= 1
-        self._pending_gens -= record.remaining
         self.metrics.queue_drained_to(self._pending_count)

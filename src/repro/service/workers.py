@@ -132,30 +132,18 @@ def _run_batched(spec: dict, tracer=None) -> dict:
     )
     initial = np.asarray(populations, dtype=np.int64)
     results = batch.run(initial=initial)
-
-    out = []
-    for i, entry in enumerate(entries):
-        stats = (
-            [
-                (g.best_fitness, g.best_individual, g.fitness_sum)
-                for g in results[i].history
-            ]
-            if entry.get("record_stats", True)
-            else []
-        )
-        out.append(
-            {
-                "job_id": entry["job_id"],
-                "population": batch.final_populations[i].tolist(),
-                "rng_state": int(batch.rng_states[i]),
-                "evaluations": base_evals[i] + results[i].evaluations,
-                "stats": stats,
-                "best_individual": results[i].best_individual,
-                "best_fitness": results[i].best_fitness,
-                "protection_stats": {},
-            }
-        )
-    return {"entries": out}
+    return {
+        "entries": [
+            _output_entry(
+                entry,
+                results[i],
+                population=batch.final_populations[i].tolist(),
+                rng_state=int(batch.rng_states[i]),
+                evaluations=base_evals[i] + results[i].evaluations,
+            )
+            for i, entry in enumerate(entries)
+        ]
+    }
 
 
 def _run_hardened(spec: dict, tracer=None) -> dict:
@@ -182,32 +170,21 @@ def _run_hardened(spec: dict, tracer=None) -> dict:
         resilience=harness, tracer=tracer,
     )
     result = ga.run()
-    stats = (
-        [
-            (g.best_fitness, g.best_individual, g.fitness_sum)
-            for g in result.history
-        ]
-        if entry.get("record_stats", True)
-        else []
-    )
     return {
         "entries": [
-            {
-                "job_id": entry["job_id"],
-                "population": ga.final_population.tolist(),
-                "rng_state": int(ga.rng.state),
-                "evaluations": result.evaluations,
-                "stats": stats,
-                "best_individual": result.best_individual,
-                "best_fitness": result.best_fitness,
-                "protection_stats": {
+            _output_entry(
+                entry,
+                result,
+                population=ga.final_population.tolist(),
+                rng_state=int(ga.rng.state),
+                protection_stats={
                     "rollbacks": int(harness.rollbacks[0]),
                     "generations_lost": int(harness.generations_lost[0]),
                     "corrected": int(harness.corrected[0]),
                     "elite_repairs": int(harness.elite_repairs[0]),
                     "failovers": int(harness.failovers[0]),
                 },
-            }
+            )
         ]
     }
 
@@ -240,48 +217,43 @@ def _run_island(spec: dict, tracer=None) -> dict:
         tracer=tracer,
     )
     result = ga.run()
-    stats = (
-        [tuple(row) for row in result.epoch_summary]
-        if entry.get("record_stats", True)
-        else []
-    )
     return {
         "entries": [
-            {
-                "job_id": entry["job_id"],
-                "population": None,
-                "rng_state": None,
-                "evaluations": result.evaluations,
-                "stats": stats,
-                "best_individual": result.best_individual,
-                "best_fitness": result.best_fitness,
-                "protection_stats": {},
-                "island_stats": {
+            _output_entry(
+                entry,
+                result,
+                rows=result.epoch_summary,
+                island_stats={
                     "islands": isl["n_islands"],
                     "migration_interval": isl["migration_interval"],
                     "topology": isl["topology"],
                     "migrations": result.migrations,
                     "island_bests": result.island_bests,
                 },
-            }
+            )
         ]
     }
 
 
-def _result_entry(entry: dict, result, substrate_stats: dict) -> dict:
-    """Shared worker→scheduler payload for the solo substrate paths.
+def _output_entry(entry: dict, result, rows=None, **fields) -> dict:
+    """One job's worker→scheduler payload, for every execution path.
 
-    Like island jobs, substrate jobs run to completion in one chunk, so
-    no population/RNG state is carried back for resumption.
+    ``stats`` rows are ``(best_fitness, best_individual, fitness_sum)``
+    per history generation, or ``rows`` (an island run's epoch summary)
+    when given; empty unless the entry records stats.  ``fields`` adds
+    or overrides keys: the carried ``population``/``rng_state`` of a
+    resumable chunk (``None`` for paths that run to completion), the
+    slab-adjusted ``evaluations``, and the path's counters.
     """
-    stats = (
-        [
+    if not entry.get("record_stats", True):
+        stats = []
+    elif rows is None:
+        stats = [
             (g.best_fitness, g.best_individual, g.fitness_sum)
             for g in result.history
         ]
-        if entry.get("record_stats", True)
-        else []
-    )
+    else:
+        stats = [tuple(row) for row in rows]
     return {
         "job_id": entry["job_id"],
         "population": None,
@@ -291,7 +263,7 @@ def _result_entry(entry: dict, result, substrate_stats: dict) -> dict:
         "best_individual": result.best_individual,
         "best_fitness": result.best_fitness,
         "protection_stats": {},
-        "substrate_stats": substrate_stats,
+        **fields,
     }
 
 
@@ -310,10 +282,10 @@ def _run_cycle(spec: dict) -> dict:
     result = GASystem(params, by_name(entry["fitness"])).run()
     return {
         "entries": [
-            _result_entry(
+            _output_entry(
                 entry,
                 result,
-                {"substrate": "cycle", "cycles": result.cycles},
+                substrate_stats={"substrate": "cycle", "cycles": result.cycles},
             )
         ]
     }
@@ -336,7 +308,11 @@ def _run_dual32(spec: dict) -> dict:
     result = DualCoreGA32(params, fitness32).run()
     return {
         "entries": [
-            _result_entry(entry, result, {"substrate": "dual32", "width": 32})
+            _output_entry(
+                entry,
+                result,
+                substrate_stats={"substrate": "dual32", "width": 32},
+            )
         ]
     }
 

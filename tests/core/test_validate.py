@@ -5,7 +5,9 @@ The serial engine used to silently mask out-of-range members with
 payload produced different populations depending on which engine the
 scheduler routed it through.  Both now share
 :func:`repro.core.validate.validate_initial_population`; these tests pin
-the parity: one payload, one verdict, the same message text.
+the parity: one payload, one verdict, the same message text.  The same holds for the
+cycle-accurate core's population limit, shared by a served request and a
+direct run.
 """
 
 import numpy as np
@@ -87,6 +89,24 @@ def test_valid_payload_accepted_by_both_and_copied():
     )
     assert serial.best_fitness == batch[0].best_fitness
     assert serial.best_individual == batch[0].best_individual
+
+
+def test_cycle_population_refused_identically_by_request_and_core():
+    """A served cycle job and a direct cycle-accurate run share one limit
+    and one message, so the two cannot drift."""
+    from repro.core.system import GASystem
+    from repro.service.jobs import GARequest
+
+    params = GAParameters(
+        n_generations=4, population_size=200,
+        crossover_threshold=12, mutation_threshold=1, rng_seed=0x061F,
+    )
+    with pytest.raises(ValueError) as request_error:
+        GARequest(params=params, fitness_name="mBF6_2", substrate="cycle")
+    with pytest.raises(ValueError) as core_error:
+        GASystem(params, FN).run()
+    assert str(request_error.value) == str(core_error.value)
+    assert "populations up to 128" in str(core_error.value)
 
 
 def test_serial_no_longer_masks_silently():

@@ -36,6 +36,19 @@ class TestGARequest:
         with pytest.raises(ValueError, match="upset_rate"):
             GARequest(params=params(), upset_rate=-1e-4)
 
+    def test_upsets_without_a_preset_rejected(self):
+        # without a preset no harness injects them: the job would run
+        # fault-free under a store key of its own
+        with pytest.raises(ValueError, match='protection="unprotected"'):
+            GARequest(params=params(), upset_rate=0.05)
+        GARequest(params=params(), upset_rate=0.05, protection="unprotected")
+
+    def test_cycle_population_limit_is_the_cores_bank(self):
+        with pytest.raises(ValueError, match="populations up to 128"):
+            GARequest(params=params(population_size=200), substrate="cycle")
+        GARequest(params=params(population_size=128), substrate="cycle")
+        GARequest(params=params(population_size=200))
+
     def test_wire_round_trip(self):
         request = GARequest(
             params=params(rng_seed=0x2961),

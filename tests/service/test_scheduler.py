@@ -205,20 +205,6 @@ class TestLoadShedding:
         for handle in (blocker, keeper, urgent):
             assert handle.result(timeout=30).best_fitness >= 0
 
-    def test_backlog_shedding_waits_for_an_observed_rate(self, hold):
-        # the blocker's chunk is dispatched but has not completed, so there
-        # is no generations/sec estimate and the backlog limit must not fire
-        policy = BatchPolicy(max_pending=10, max_backlog_s=1e-9)
-        service = GAService(workers=1, mode="thread", policy=policy).start()
-        try:
-            handles = [hold.occupy(service)]
-            handles += [service.submit(request(seed=s)) for s in (1, 2, 3)]
-            assert service.metrics.shed == 0
-        finally:
-            hold.release()
-            service.shutdown(drain=True)
-        assert all(h.result(timeout=30).best_fitness >= 0 for h in handles)
-
 
 class TestDeadlineEnforcement:
     def test_enforced_deadline_expires_in_queue(self, hold):

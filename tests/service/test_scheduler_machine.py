@@ -12,14 +12,11 @@ from the spill store, and shut down with or without draining.
 
 Invariants at every step: no handle resolves twice (``JobHandle`` ignores
 a second resolution silently, so the calls are counted), the pending
-counters match the queue, no worker slot is over-committed, and every job
+counter matches the queue, no worker slot is over-committed, and every job
 the scheduler holds sits in one place, unresolved.  At
 quiescence: every handle is resolved exactly once, every result equals
 ``execute_request`` on its request, the counters conserve, every slot is
 free and no spill file remains.
-
-Shedding uses ``shed_queue_depth`` only: ``max_backlog_s`` divides by a
-generations rate measured on the real clock.
 """
 
 import concurrent.futures
@@ -305,7 +302,6 @@ class SchedulerMachine(RuleBasedStateMachine):
         queued = [r for records in self.scheduler._pending.values() for r in records]
         assert all(self.scheduler._pending.values())
         assert self.scheduler._pending_count == len(queued)
-        assert self.scheduler._pending_gens == sum(r.remaining for r in queued)
         assert self.scheduler._slots_free >= 0
 
     @invariant()

@@ -82,15 +82,30 @@ class TestTCPServer:
     def test_over_large_fan_in_is_bad_request_and_never_queued(
         self, live_server
     ):
+        # every illegal combination is refused at admission with the one
+        # legality check's message, never queued to fail in a worker
         host, port = live_server
-        job = request(pop=4).to_dict()
-        job.update(n_islands=8, topology="random:4")
-        response = call(host, port, {"op": "submit", "job": job})
-        assert not response["ok"]
-        assert response["error"]["kind"] == "BadRequest"
-        assert response["error"]["detail"] == (
-            "topology fan-in 4 would replace a whole population of 4"
-        )
+        illegal = [
+            (
+                dict(request(pop=4).to_dict(), n_islands=8, topology="random:4"),
+                "topology fan-in 4 would replace a whole population of 4",
+            ),
+            (
+                dict(request(pop=200).to_dict(), substrate="cycle"),
+                "cycle-accurate core supports populations up to 128 "
+                "(two banks in the 256-word GA memory); got 200",
+            ),
+            (
+                dict(request().to_dict(), upset_rate=0.05),
+                "upset_rate 0.05 needs a protection preset; "
+                'pass protection="unprotected" to inject raw upsets',
+            ),
+        ]
+        for job, detail in illegal:
+            response = call(host, port, {"op": "submit", "job": job})
+            assert not response["ok"]
+            assert response["error"]["kind"] == "BadRequest"
+            assert response["error"]["detail"] == detail
         jobs = call(host, port, {"op": "metrics"})["metrics"]["jobs"]
         assert jobs["submitted"] == 0 and jobs["failed"] == 0
 

@@ -1,8 +1,30 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``python -m repro ...`` line in README's bash
+    blocks: ``\\`` continuations joined, comments, a trailing ``&`` and
+    literal ``...`` elisions dropped."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:3] != ["python", "-m", "repro"]:
+                continue
+            if words[-1] == "&":
+                words.pop()
+            commands.append([word for word in words[3:] if word != "..."])
+    return commands
 
 
 class TestParser:
@@ -28,6 +50,17 @@ class TestParser:
         assert args.fitness == "mBF6_2"
         assert args.pop == 64
         assert args.seed == "0x061F"
+
+    def test_readme_commands_parse(self):
+        # a README example naming a deleted or misspelt flag fails here
+        commands = readme_commands()
+        assert len(commands) >= 20
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 class TestCommands:
