@@ -5,9 +5,10 @@ grid through :func:`repro.core.batch.run_batched` equivalents):
 
 * **disabled** — engines constructed with ``tracer=None`` (the exact
   pre-instrumentation hot loop) vs engines constructed with the explicit
-  :data:`NULL_TRACER` (the instrumented-but-disabled path).  Interleaved
-  A/B rounds with a median-of-rounds estimate must agree within 2% — the
-  issue's acceptance bound on disabled-tracing overhead;
+  :data:`NULL_TRACER` (the instrumented-but-disabled path).  Many
+  interleaved A/B pairs, alternating which variant runs first; the median
+  of the per-pair time ratios must stay within 2% — the acceptance bound
+  on disabled-tracing overhead — and its interquartile range is reported;
 * **anchor** — the batched engine must still beat the looped serial
   engine by the PR 1 factor (>= 5x), proving instrumentation did not
   erode the baseline win;
@@ -16,6 +17,7 @@ grid through :func:`repro.core.batch.run_batched` equivalents):
   enabled tracing is allowed to cost what it costs.
 """
 
+import statistics
 import time
 
 import pytest
@@ -27,8 +29,12 @@ from repro.experiments.config import fpga_sweep_params
 from repro.fitness import MBF6_2
 from repro.obs import NULL_TRACER, Tracer
 
-#: interleaved timing rounds per variant; medians cancel drift/jitter
-ROUNDS = 7
+#: interleaved None / NULL_TRACER timing pairs.  One sweep takes about
+#: 20 ms, so a single pair's ratio carries several percent of jitter (an
+#: IQR of about 0.96-1.03 on a 2-vCPU VM).  There, five runs of this many
+#: pairs read medians of -0.98% to -0.18%, inside the 2% bound; four runs
+#: of 61 pairs spread over -0.93% to +1.06%
+PAIRS = 121
 
 
 def _grid_jobs():
@@ -66,16 +72,15 @@ def test_disabled_tracing_overhead_within_2pct(benchmark):
     jobs = _grid_jobs()
     _sweep(jobs, None)  # warm orbit/slot tables and allocator
 
-    none_times, null_times = [], []
+    none_times, ratios = [], []
     baseline = None
-    for round_no in range(ROUNDS):
+    for pair in range(PAIRS):
         # alternate A/B order so cache/clock drift cannot bias one variant
-        variants = [(None, none_times), (NULL_TRACER, null_times)]
-        if round_no % 2:
-            variants.reverse()
-        for tracer_arg, bucket in variants:
+        order = [None, NULL_TRACER] if pair % 2 == 0 else [NULL_TRACER, None]
+        times = {}
+        for tracer_arg in order:
             t, results = _timed(lambda: _sweep(jobs, tracer_arg))
-            bucket.append(t)
+            times[tracer_arg] = t
             # the disabled path must also stay bit-identical, every round
             key = [
                 (r.best_individual, r.best_fitness, r.evaluations)
@@ -84,11 +89,13 @@ def test_disabled_tracing_overhead_within_2pct(benchmark):
             if baseline is None:
                 baseline = key
             assert key == baseline
+        none_times.append(times[None])
+        ratios.append(times[NULL_TRACER] / times[None])
 
-    # best-of-rounds: the least-perturbed observation of each variant
-    t_none = min(none_times)
-    t_null = min(null_times)
-    overhead = t_null / t_none - 1.0
+    ratio = statistics.median(ratios)
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    overhead = ratio - 1.0
+    t_none = statistics.median(none_times)
 
     # enabled tracing: measured once, reported (not asserted)
     tracer = Tracer()
@@ -99,25 +106,31 @@ def test_disabled_tracing_overhead_within_2pct(benchmark):
     enabled_ratio = t_traced / t_none
 
     benchmark.extra_info["disabled_overhead_pct"] = round(overhead * 100, 2)
+    benchmark.extra_info["disabled_ratio_median"] = round(ratio, 4)
+    benchmark.extra_info["disabled_ratio_iqr"] = [round(q1, 4), round(q3, 4)]
+    benchmark.extra_info["disabled_pairs"] = PAIRS
     benchmark.extra_info["enabled_cost_ratio"] = round(enabled_ratio, 3)
     benchmark.extra_info["trace_records"] = len(tracer.records)
     benchmark.pedantic(_sweep, args=(jobs, None), rounds=1, iterations=1)
 
     print_table(
-        "Observability overhead (24-run Table VII grid, best of "
-        f"{ROUNDS} interleaved rounds)",
+        "Observability overhead (24-run Table VII grid, median of "
+        f"{PAIRS} interleaved pairs)",
         [
             {"variant": "tracer=None (pre-instrumentation path)",
              "time_s": round(t_none, 4), "ratio": 1.0},
             {"variant": "NULL_TRACER (disabled instrumentation)",
-             "time_s": round(t_null, 4),
-             "ratio": round(t_null / t_none, 4)},
+             "time_s": round(t_none * ratio, 4),
+             "ratio": round(ratio, 4)},
             {"variant": "live Tracer (full span/event stream)",
              "time_s": round(t_traced, 4),
              "ratio": round(enabled_ratio, 4)},
         ],
     )
-    print(f"disabled overhead: {overhead * 100:+.2f}% (bound: 2%)")
+    print(
+        f"disabled overhead: {overhead * 100:+.2f}% (bound: 2%), per-pair "
+        f"ratio IQR {q1:.4f}-{q3:.4f}"
+    )
     print(f"enabled cost: {enabled_ratio:.2f}x, {len(tracer.records)} records")
 
     assert overhead < 0.02, (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 
 def _print_table(title: str, rows: list[dict], keys=None) -> None:
@@ -132,6 +133,19 @@ def _run_params(args):
     )
 
 
+@contextmanager
+def _request_errors():
+    """Around building a ``GARequest`` only: an illegal request is the
+    user's error, so it prints one ``error:`` line and exits with status 2
+    (argparse's usage status).  A ``ValueError`` raised later, inside a
+    run, stays a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _run_cached(args, request) -> None:
     """``repro run --store-dir``: serve from / populate the run store."""
     from repro import fitness_by_name
@@ -154,14 +168,15 @@ def cmd_run(args) -> None:
     from repro.service.jobs import GARequest
 
     # the request is the one legality check, whichever engine runs it
-    request = GARequest(
-        params=_run_params(args),
-        fitness_name=args.fitness,
-        n_islands=args.islands,
-        migration_interval=args.migration_interval,
-        topology=args.topology,
-        substrate="cycle" if args.cycle_accurate else "behavioral",
-    )
+    with _request_errors():
+        request = GARequest(
+            params=_run_params(args),
+            fitness_name=args.fitness,
+            n_islands=args.islands,
+            migration_interval=args.migration_interval,
+            topology=args.topology,
+            substrate="cycle" if args.cycle_accurate else "behavioral",
+        )
     if getattr(args, "store_dir", ""):
         if getattr(args, "trace_out", ""):
             raise SystemExit(
@@ -425,30 +440,31 @@ def cmd_submit(args) -> None:
     from repro import GAParameters
     from repro.service import GARequest, RetryPolicy, submit_remote
 
-    request = GARequest(
-        params=GAParameters(
-            n_generations=args.gens,
-            population_size=args.pop,
-            crossover_threshold=args.xover,
-            mutation_threshold=args.mut,
-            rng_seed=int(args.seed, 0),
-        ),
-        fitness_name=args.fitness,
-        priority=args.priority,
-        deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
-        protection=args.protection or None,
-        upset_rate=args.upset_rate,
-        n_islands=getattr(args, "islands", 1),
-        migration_interval=getattr(args, "migration_interval", 8),
-        topology=getattr(args, "topology", "ring"),
-        retry=RetryPolicy(
-            max_attempts=args.retries,
-            backoff_s=args.retry_backoff_ms / 1e3,
-            max_backoff_s=max(2.0, args.retry_backoff_ms / 1e3),
-        ),
-        deadline_mode=args.deadline_mode,
-        use_cache=not args.no_cache,
-    )
+    with _request_errors():
+        request = GARequest(
+            params=GAParameters(
+                n_generations=args.gens,
+                population_size=args.pop,
+                crossover_threshold=args.xover,
+                mutation_threshold=args.mut,
+                rng_seed=int(args.seed, 0),
+            ),
+            fitness_name=args.fitness,
+            priority=args.priority,
+            deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
+            protection=args.protection or None,
+            upset_rate=args.upset_rate,
+            n_islands=getattr(args, "islands", 1),
+            migration_interval=getattr(args, "migration_interval", 8),
+            topology=getattr(args, "topology", "ring"),
+            retry=RetryPolicy(
+                max_attempts=args.retries,
+                backoff_s=args.retry_backoff_ms / 1e3,
+                max_backoff_s=max(2.0, args.retry_backoff_ms / 1e3),
+            ),
+            deadline_mode=args.deadline_mode,
+            use_cache=not args.no_cache,
+        )
     result = submit_remote(args.host, args.port, request, timeout=args.timeout_s)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

@@ -127,14 +127,16 @@ def encode_checkpoint(
 ) -> dict:
     """The checkpoint tuple as a plain JSON-ready dict.
 
-    ``individuals``/``fitnesses`` may be numpy arrays, lists, or ``None``;
-    ``rng_state`` may be ``None`` for jobs that have not drawn yet.
+    ``individuals``/``fitnesses`` may be numpy arrays, lists of Python
+    ints, or ``None``; ``rng_state`` may be ``None`` for jobs that have
+    not drawn yet.  Arrays convert in one ``tolist()`` call and lists are
+    copied as they are, not element by element.
     """
 
     def as_list(arr):
         if arr is None:
             return None
-        return [int(v) for v in arr]
+        return arr.tolist() if isinstance(arr, np.ndarray) else list(arr)
 
     return {
         "version": CHECKPOINT_VERSION,

@@ -326,7 +326,7 @@ class Slab:
                     "remaining": record.remaining,
                     "evaluations": record.evaluations,
                     "chunks": record.chunks,
-                    "stats": [list(row) for row in record.stats],
+                    "stats": list(record.stats),  # tuples encode as arrays
                     "state": encode_checkpoint(
                         generation=done,
                         individuals=record.population,

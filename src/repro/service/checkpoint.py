@@ -11,10 +11,13 @@ when the slab retires; after a crash, ``Scheduler.resume_spilled()`` (surfaced a
 from its last checkpoint — results stay bit-identical to an uninterrupted
 run because chunk boundaries are generation boundaries.
 
-Files are JSON, one per slab, written atomically (temp file + rename) so
+Files are JSON, one per slab, written by the run store's one durable
+writer (:func:`repro.store.runstore.write_json_atomic`): one C-encoded
+``json.dumps``, a temp file private to the call, then ``os.replace``, so
 a crash mid-write can never leave a half checkpoint that resume would
-trust.  Corrupt or unreadable files are skipped with a warning rather
-than failing the restart.
+trust.  The save is synchronous, under the scheduler's lock, and lands
+before the chunk is sent to a worker.  Corrupt or unreadable files are
+skipped with a warning rather than failing the restart.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import json
 import logging
 import os
 from pathlib import Path
+
+from repro.store.runstore import write_json_atomic
 
 log = logging.getLogger("repro.service")
 
@@ -46,12 +51,8 @@ class CheckpointStore:
 
     def save(self, slab_id: int, payload: dict) -> Path:
         """Atomically persist one slab's checkpoint payload."""
-        payload = {"spill_version": SPILL_VERSION, **payload}
         path = self._path(slab_id)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        write_json_atomic(path, {"spill_version": SPILL_VERSION, **payload})
         return path
 
     def discard(self, slab_id: int) -> None:

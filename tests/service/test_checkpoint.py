@@ -7,12 +7,15 @@ both layers: codec encode/decode, slab payload/restore, and the store's
 save/claim/discard hygiene including its tolerance for corrupt files.
 """
 
+import io
 import itertools
 import json
+import types
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.params import GAParameters
 from repro.resilience.harden import (
     CHECKPOINT_VERSION,
@@ -23,6 +26,14 @@ from repro.service import BatchPolicy, GARequest, RetryPolicy
 from repro.service.batcher import JobRecord, Slab, restore_records
 from repro.service.checkpoint import SPILL_VERSION, CheckpointStore
 from repro.service.jobs import JobHandle
+from repro.store import (
+    KEY_SCHEMA_VERSION,
+    STORE_SCHEMA_VERSION,
+    RunStore,
+    job_key,
+    runstore,
+)
+from repro.store.replay import execute_request
 
 
 def request(seed=45890, gens=16, pop=8) -> GARequest:
@@ -147,6 +158,70 @@ class TestCheckpointStore:
     def test_save_is_atomic_replace(self, tmp_path):
         store = CheckpointStore(tmp_path)
         path = store.save(5, {"entries": []})
-        assert path.exists() and not path.with_suffix(".tmp").exists()
+        assert path.exists() and not list(tmp_path.glob("*.tmp"))
         data = json.loads(path.read_text())
         assert data["spill_version"] == SPILL_VERSION
+
+
+def mid_flight_slab(n_entries=32, pop=256, rows=33) -> Slab:
+    """A full slab between chunks: carried populations, RNG positions and
+    ``stats`` rows as the tuples the workers hand back."""
+    rng = np.random.default_rng(5)
+    records = []
+    for i in range(n_entries):
+        rec = record(seed=1000 + i, gens=64, pop=pop)
+        rec.remaining, rec.chunks, rec.evaluations = 31, 2, pop * rows
+        rec.population = rng.integers(0, 1 << 16, pop).tolist()
+        rec.rng_state = int(rng.integers(1, 1 << 31))
+        rec.best_individual, rec.best_fitness = 77, 65000
+        rec.stats = [
+            tuple(int(v) for v in rng.integers(0, 1 << 20, 3))
+            for _ in range(rows)
+        ]
+        records.append(rec)
+    return Slab(records, BatchPolicy())
+
+
+class TestDurableWriter:
+    """Both durable writes run the C encoder and keep their bytes."""
+
+    def test_writes_skip_the_python_encoder_and_keep_json_dump_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        payload = mid_flight_slab().checkpoint_payload()
+        assert isinstance(payload["entries"][0]["stats"][0], tuple)
+        req = request(seed=0x061F, gens=16, pop=16)
+        result = execute_request(req)
+        monkeypatch.setattr(
+            runstore, "time", types.SimpleNamespace(time=lambda: 1234.5)
+        )
+        entry = {
+            "store_version": STORE_SCHEMA_VERSION,
+            "key": job_key(req),
+            "request": req.to_dict(),
+            "result": result.to_dict(),
+            "provenance": {
+                "key_schema": KEY_SCHEMA_VERSION,
+                "repro_version": repro.__version__,
+                "fitness_name": req.fitness_name,
+                "created_unix": 1234.5,
+                "compute_s": 0.25,
+                "source": "service",
+            },
+        }
+        expected_spill, expected_entry = io.StringIO(), io.StringIO()
+        json.dump({"spill_version": SPILL_VERSION, **payload}, expected_spill)
+        json.dump(entry, expected_entry)
+
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dump(payload, io.StringIO())  # the patch guards json.dump
+
+        spill = CheckpointStore(tmp_path / "spill").save(3, payload)
+        assert spill.read_text() == expected_spill.getvalue()
+        store = RunStore(tmp_path / "store")
+        key = store.put(req, result, compute_s=0.25, source="service")
+        assert store.path_for(key).read_text() == expected_entry.getvalue()

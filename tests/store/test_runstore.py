@@ -59,6 +59,28 @@ def test_put_is_atomic_no_tmp_left_behind(store):
     assert not list(store.objects.glob("*.tmp"))
 
 
+def test_concurrent_writers_of_one_key_both_land(store, monkeypatch):
+    """A second writer that puts the same key between the first writer's
+    temp-file write and its rename must not move the first one's temp
+    file: both renames land, and the entry parses."""
+    request = make_request()
+    result = execute_request(request)
+    real_replace = os.replace
+    sources = []
+
+    def replace(src, dst):
+        sources.append(src)
+        if len(sources) == 1:
+            store.put(request, result, source="second")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    key = store.put(request, result, source="first")
+    assert len(sources) == 2 and sources[0] != sources[1]
+    assert store.get(key).provenance["source"] == "first"  # renamed last
+    assert not list(store.objects.glob("*.tmp"))
+
+
 def test_wrong_store_version_rejected(store):
     request = make_request()
     key = store.put(request, execute_request(request))

@@ -63,6 +63,15 @@ class TestParser:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
+def assert_request_error(exc, capsys, message: str) -> None:
+    """An illegal request ends the command with status 2 and one
+    ``error:`` line on stderr, not a traceback."""
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -116,13 +125,14 @@ class TestCommands:
         assert f", {direct.migrations} migrations, " in out
         assert f", {direct.evaluations} evaluations" in out
 
-    def test_run_islands_rejects_over_large_fan_in(self):
-        with pytest.raises(
-            ValueError,
-            match="topology fan-in 4 would replace a whole population of 4",
-        ):
+    def test_run_islands_rejects_over_large_fan_in(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--pop", "4", "--gens", "4", "--islands", "8",
                   "--topology", "random:4"])
+        assert_request_error(
+            exc, capsys,
+            "topology fan-in 4 would replace a whole population of 4",
+        )
 
     def test_run_store_dir_caches_cycle_accurate_runs(self, capsys, tmp_path):
         argv = [
@@ -137,12 +147,21 @@ class TestCommands:
         best = cold.split(" (optimum")[0]
         assert warm.startswith(best) and "best" in best
 
-    def test_run_islands_cycle_accurate_is_the_requests_error(self):
-        with pytest.raises(
-            ValueError, match="substrate 'cycle' jobs cannot be islands"
-        ):
+    def test_run_islands_cycle_accurate_is_the_requests_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--pop", "8", "--gens", "4", "--islands", "2",
                   "--cycle-accurate"])
+        assert_request_error(
+            exc, capsys, "substrate 'cycle' jobs cannot be islands"
+        )
+
+    def test_submit_illegal_request_fails_before_connecting(self, capsys):
+        # no server listens on the port: the request is refused first
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", "--port", "1", "--upset-rate", "0.05"])
+        assert_request_error(
+            exc, capsys, "upset_rate 0.05 needs a protection preset"
+        )
 
     def test_table6(self, capsys):
         assert main(["table6"]) == 0
